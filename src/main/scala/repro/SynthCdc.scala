@@ -1,6 +1,7 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.{col, lit, xxhash64}
 import repro.core.Engine
 
 /** CDC workload generation on top of [[SynthData]]: deterministic batches
@@ -18,7 +19,6 @@ object SynthCdc {
     * batches do not collide.
     */
   def ordersRows(spark: SparkSession, n: Long, seed: Long, keyOffset: Long = 0L): DataFrame = {
-    import org.apache.spark.sql.functions._
     SynthData.orders(spark, sf = n.toDouble / 1_500_000L, seed = seed)
       .withColumn("o_orderkey", col("o_orderkey") + lit(keyOffset))
   }
@@ -39,7 +39,7 @@ object SynthCdc {
     val current = engine.read(table)
     val deletes =
       if (deleteRows <= 0) current.limit(0)
-      else current.orderBy(org.apache.spark.sql.functions.xxhash64(current.columns.map(current(_)): _*))
+      else current.orderBy(xxhash64(lit(seed) +: current.columns.toSeq.map(current(_)): _*))
         .limit(deleteRows.toInt)
     (inserts, deletes)
   }

@@ -1,9 +1,10 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{col, lit}
+import org.apache.spark.sql.functions.lit
 import repro.sched.Clock
 import repro.txn.{Frontier, TableVersion, TransactionManager}
+import repro.txn.TransactionManager.{pin, pinNonNegative, pinnedRows}
 import scala.collection.mutable
 
 /** The dynamic-table engine (§5): catalog + transaction manager + refresh
@@ -27,7 +28,8 @@ import scala.collection.mutable
   *   1. an upstream DT version must exist at *exactly* the refresh
   *      timestamp, else the refresh fails (snapshot-isolation guard);
   *   2. a change set never has >1 row per ($ROW_ID, $ACTION);
-  *   3. a merge must never delete a row that is not present.
+  *   3. a merge must never delete a row that is not present (a guard
+  *      inside the plan the merge's checkpoint job runs anyway).
   */
 final class Engine(val spark: SparkSession, val clock: Clock, failureThreshold: Int = 5) {
   val tm = new TransactionManager(clock)
@@ -125,8 +127,8 @@ final class Engine(val spark: SparkSession, val clock: Clock, failureThreshold: 
     val srcs = st.spec.query.sources.toSeq.sorted
     val resolved = srcs.map(s => s -> resolveVersion(s, initTs)).toMap
     val snapPlain = Eval.snapshot(st.spec.query, s => Weighted.expand(resolved(s).snapshot))
-    val weighted = Weighted.consolidate(Weighted.fromSnapshot(snapPlain)).localCheckpoint(true)
-    val rows = weighted.count()
+    val weighted = pin(Weighted.consolidate(Weighted.fromSnapshot(snapPlain)))
+    val rows = pinnedRows(weighted)
     tm.table(name).commit(TableVersion(tm.hlc.now(), initTs, weighted, weighted, rows, 0L))
     st.frontier = Some(Frontier.initial(initTs, srcs, resolved.map { case (s, v) => s -> v.lineageEpoch }, tm.hlc.peek()))
     RefreshResult(name, FullRefresh, initTs, rows)
@@ -198,23 +200,22 @@ final class Engine(val spark: SparkSession, val clock: Clock, failureThreshold: 
             delta = tm.table(s).deltaBetween(fr.dataTs, refreshTs)
               .getOrElse(newV(s).snapshot.where(lit(false))),
           )
-          val d = Differentiator.delta(st.spec.query, bind).localCheckpoint(true)
+          val d = pin(Differentiator.delta(st.spec.query, bind))
           val dupes = ChangeSet.duplicateActionPairs(ChangeSet.fromWeighted(d))
-          require(dupes == 0L, s"$name: change set has $dupes duplicate ($$ROW_ID, $$ACTION) pairs (§6.1 validation)")
-          // Checkpoint the merge once, then validate against the pinned
-          // result — the invariant check must not recompute the plan.
-          val merged = Weighted.consolidate(prevStored.unionByName(d)).localCheckpoint(true)
-          val negatives = merged.where(col(Weighted.W) < 0).count()
-          require(negatives == 0L, s"$name: refresh deletes $negatives row group(s) not present in the DT (§6.1 validation)")
+          require(dupes.isEmpty,
+            s"$name: change set has ${dupes.size} duplicate ($$ROW_ID, $$ACTION) pair(s), " +
+              s"e.g. ${dupes.head} (§6.1 validation)")
+          val merged = pinNonNegative(Weighted.consolidate(prevStored.unionByName(d)),
+            s"$name: refresh deletes row group(s) not present in the DT (§6.1 validation)")
           (merged, d)
         case _ => // FULL or REINITIALIZE: recompute from the new snapshots.
           val plain = Eval.snapshot(st.spec.query, s => Weighted.expand(newV(s).snapshot))
-          val snap = Weighted.consolidate(Weighted.fromSnapshot(plain)).localCheckpoint(true)
+          val snap = pin(Weighted.consolidate(Weighted.fromSnapshot(plain)))
           // Emit a correct delta anyway so downstream incremental DTs keep working.
-          val d = Weighted.consolidate(snap.unionByName(Weighted.negate(prevStored))).localCheckpoint(true)
+          val d = pin(Weighted.consolidate(snap.unionByName(Weighted.negate(prevStored))))
           (snap, d)
       }
-      val deltaRows = delta.count()
+      val deltaRows = pinnedRows(delta)
       vt.commit(TableVersion(tm.hlc.now(), refreshTs, snapshot, delta, deltaRows, vt.latest.lineageEpoch))
       advance()
       RefreshResult(name, action, refreshTs, deltaRows)

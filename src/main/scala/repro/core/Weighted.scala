@@ -65,23 +65,30 @@ object Weighted {
     */
   def expand(df: DataFrame): DataFrame = {
     val cols = dataCols(df)
-    val guarded = df.withColumn(
-      W,
-      when(col(W) < 0L, raise_error(concat(lit("negative multiplicity in weighted relation: "), col(W).cast("string"))))
-        .otherwise(col(W))
-    )
-    guarded
+    nonNegative(df)
       .where(col(W) > 0L)
       .withColumn("__i", explode(sequence(lit(1L), col(W))))
       .select(cols.map(col): _*)
   }
 
-  /** True iff the weighted relation is empty once consolidated. */
-  def isEmpty(df: DataFrame): Boolean = consolidate(df).isEmpty
+  private val NegativeWeight = "negative multiplicity in weighted relation"
 
-  /** Null-safe multi-column equality condition between two relations. */
-  def nullSafeEq(left: DataFrame, right: DataFrame, leftKeys: Seq[String], rightKeys: Seq[String]): Column =
-    leftKeys.zip(rightKeys).map { case (l, r) => left(l) <=> right(r) }.reduce(_ && _)
+  /** `df` unchanged, except that evaluating it fails (`raise_error`) on the
+    * first row with a negative weight. Lets a plan that is executed anyway
+    * — a checkpointed merge — carry the "never delete a missing row" check
+    * (§6.1) instead of a separate query over its result.
+    */
+  def nonNegative(df: DataFrame): DataFrame =
+    df.withColumn(
+      W,
+      when(col(W) < 0L, raise_error(concat(lit(s"$NegativeWeight: "), col(W).cast("string"))))
+        .otherwise(col(W))
+    )
+
+  /** True iff `e` (or one of its causes) is a [[nonNegative]] guard failure. */
+  def isNegativeWeightFailure(e: Throwable): Boolean =
+    Iterator.iterate(e)(_.getCause).takeWhile(_ != null)
+      .exists(t => Option(t.getMessage).exists(_.contains(NegativeWeight)))
 
   /** Restrict `df` to rows whose key tuple appears in `keys` (null-safe
     * left-semi join). `keyExprs` are expressions over `df`'s columns that

@@ -1,6 +1,10 @@
 package repro.sched
 
 import repro.core.{Engine, RefreshResult}
+import scala.collection.mutable
+
+/** A scheduled refresh of `dt` at data timestamp `dataTs` that threw `cause`. */
+final case class RefreshFailure(dt: String, dataTs: Long, cause: Throwable)
 
 /** Drives a real [[repro.core.Engine]] with the §5.2 scheduling policy on
   * a virtual clock: each DT refreshes at multiples of its canonical
@@ -14,6 +18,10 @@ import repro.core.{Engine, RefreshResult}
   * is studied with the simulator.
   */
 final class EngineScheduler(engine: Engine, clock: SimClock) {
+  private val failed = mutable.ArrayBuffer.empty[RefreshFailure]
+
+  /** Every scheduled refresh that failed so far, oldest first. */
+  def failures: Seq[RefreshFailure] = failed.toSeq
 
   /** Periods per DT from current graph state. */
   def periods: Map[String, Option[Long]] = {
@@ -22,9 +30,10 @@ final class EngineScheduler(engine: Engine, clock: SimClock) {
   }
 
   /** Advance virtual time to `target`, performing every scheduled refresh
-    * due in `(now, target]` in timestamp-then-topological order. Errors
-    * are recorded by the engine (failure counter / suspension) and the
-    * scheduler moves on, like §3.3.3.
+    * due in `(now, target]` in timestamp-then-topological order. A failed
+    * refresh is recorded in [[failures]] (and by the engine's failure
+    * counter, which suspends the DT at its threshold), and the scheduler
+    * moves on, like §3.3.3.
     */
   def advanceTo(target: Long): Seq[RefreshResult] = {
     val out = Seq.newBuilder[RefreshResult]
@@ -41,7 +50,7 @@ final class EngineScheduler(engine: Engine, clock: SimClock) {
         val st = engine.dtState(n)
         if (st.isInitialized && !st.suspended && engine.dataTimestamp(n) < t) {
           try out += engine.refresh(n, t)
-          catch { case _: Exception => () } // recorded in the DT's failure counter
+          catch { case e: Exception => failed += RefreshFailure(n, t, e) }
         }
       }
     }

@@ -1,7 +1,6 @@
 package repro.txn
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.core.Weighted
 import repro.sched.Clock
 import scala.collection.mutable
@@ -18,6 +17,8 @@ import scala.collection.mutable
   * version immutable w.r.t. later source mutation.
   */
 final class TransactionManager(clock: Clock) {
+  import TransactionManager.{pin, pinNonNegative, pinnedRows}
+
   val hlc = new HlcClock(() => clock.nowSeconds)
   private val catalog = mutable.LinkedHashMap.empty[String, VersionedTable]
   private val locks = mutable.Map.empty[String, Object]
@@ -25,7 +26,6 @@ final class TransactionManager(clock: Clock) {
   def table(name: String): VersionedTable =
     catalog.getOrElse(name, throw new NoSuchElementException(s"unknown table $name"))
 
-  def tableNames: Seq[String] = synchronized(catalog.keys.toSeq)
   def contains(name: String): Boolean = synchronized(catalog.contains(name))
 
   private def lockFor(name: String): Object = synchronized(locks.getOrElseUpdate(name, new Object))
@@ -34,8 +34,6 @@ final class TransactionManager(clock: Clock) {
     * Table is locked when a refresh operation begins").
     */
   def withLock[A](name: String)(body: => A): A = lockFor(name).synchronized(body)
-
-  private def checkpoint(df: DataFrame): DataFrame = df.localCheckpoint(true)
 
   /** Register a table whose versions are managed externally (DTs). */
   def register(name: String): VersionedTable = synchronized {
@@ -55,8 +53,8 @@ final class TransactionManager(clock: Clock) {
       require(!catalog.contains(name), s"table $name already exists")
       val t = new VersionedTable(name); catalog(name) = t; t
     }
-    val snap = checkpoint(Weighted.consolidate(Weighted.fromSnapshot(initial)))
-    val v = TableVersion(hlc.now(), clock.nowSeconds, snap, snap, snap.count(), lineageEpoch = 0L)
+    val snap = pin(Weighted.consolidate(Weighted.fromSnapshot(initial)))
+    val v = TableVersion(hlc.now(), clock.nowSeconds, snap, snap, pinnedRows(snap), lineageEpoch = 0L)
     vt.commit(v)
     v
   }
@@ -70,13 +68,12 @@ final class TransactionManager(clock: Clock) {
     // Pin the change set FIRST: caller-provided plans (e.g. a sampled
     // delete set) may be nondeterministic across evaluations, and the
     // snapshot and the delta must be derived from one consistent read.
-    val d = checkpoint(Weighted.consolidate(
+    val d = pin(Weighted.consolidate(
       Weighted.fromSnapshot(inserts).unionByName(Weighted.negate(Weighted.fromSnapshot(deletes)))
     ))
-    val snap = checkpoint(Weighted.consolidate(prev.snapshot.unionByName(d)))
-    val negatives = snap.where(col(Weighted.W) < 0).count()
-    require(negatives == 0L, s"$name: DML deletes $negatives row group(s) not present in the table")
-    val v = TableVersion(hlc.now(), nextDataTs(vt), snap, d, d.count(), prev.lineageEpoch)
+    val snap = pinNonNegative(Weighted.consolidate(prev.snapshot.unionByName(d)),
+      s"$name: DML deletes row group(s) not present in the table")
+    val v = TableVersion(hlc.now(), nextDataTs(vt), snap, d, pinnedRows(d), prev.lineageEpoch)
     vt.commit(v)
     v
   }
@@ -88,9 +85,9 @@ final class TransactionManager(clock: Clock) {
   def replaceBaseTable(name: String, contents: DataFrame): TableVersion = withLock(name) {
     val vt = table(name)
     val prev = vt.latest
-    val snap = checkpoint(Weighted.consolidate(Weighted.fromSnapshot(contents)))
-    val delta = checkpoint(Weighted.consolidate(snap.unionByName(Weighted.negate(prev.snapshot))))
-    val v = TableVersion(hlc.now(), nextDataTs(vt), snap, delta, delta.count(), prev.lineageEpoch + 1)
+    val snap = pin(Weighted.consolidate(Weighted.fromSnapshot(contents)))
+    val delta = pin(Weighted.consolidate(snap.unionByName(Weighted.negate(prev.snapshot))))
+    val v = TableVersion(hlc.now(), nextDataTs(vt), snap, delta, pinnedRows(delta), prev.lineageEpoch + 1)
     vt.commit(v)
     v
   }
@@ -104,4 +101,28 @@ final class TransactionManager(clock: Clock) {
     */
   private def nextDataTs(vt: VersionedTable): Long =
     math.max(clock.nowSeconds + 1, vt.latest.dataTs + 1)
+}
+
+object TransactionManager {
+
+  /** Pin `df` with an eager `localCheckpoint`: one execution of its plan
+    * writes the blocks that every later read of the version uses. Eager on
+    * purpose: a lazy checkpoint followed by a separate action computes the
+    * plan again and keeps more blocks.
+    */
+  def pin(df: DataFrame): DataFrame = df.localCheckpoint(true)
+
+  /** [[pin]] a merge result, failing with `IllegalArgumentException(message)`
+    * if a weight is negative: a delete of a row that is not present (§6.1).
+    * The check runs inside the checkpoint job, not as a query over its result.
+    */
+  def pinNonNegative(merged: DataFrame, message: => String): DataFrame =
+    try pin(Weighted.nonNegative(merged))
+    catch { case e: Exception if Weighted.isNegativeWeightFailure(e) => throw new IllegalArgumentException(message, e) }
+
+  /** Row count of a [[pin]]ned DataFrame in one Spark job over its blocks.
+    * (`Dataset.count` plans a global aggregate: two jobs under adaptive
+    * query execution.)
+    */
+  def pinnedRows(pinned: DataFrame): Long = pinned.queryExecution.toRdd.count()
 }

@@ -12,7 +12,8 @@ import scala.collection.mutable
   *                     This is the paper's refresh-ts→commit-ts mapping,
   *                     stored inline.
   * @param snapshot     weighted, consolidated contents at this version.
-  * @param delta        weighted change from the previous version.
+  * @param delta        weighted, consolidated change from the previous
+  *                     version.
   * @param deltaRows    change-row count — *metadata*, so NO_DATA detection
   *                     (§5.4) costs no warehouse compute.
   * @param lineageEpoch bumped when the table is replaced wholesale; a
@@ -90,12 +91,17 @@ final class VersionedTable(val name: String) {
   def changedRowsBetween(t0: Long, t1: Long): Long =
     versionsBetween(t0, t1).map(_.deltaRows).sum
 
-  /** Concatenated, consolidated weighted delta over `(t0, t1]`. */
-  def deltaBetween(t0: Long, t1: Long): Option[DataFrame] = {
-    val vs = versionsBetween(t0, t1)
-    if (vs.isEmpty) None
-    else Some(Weighted.consolidate(Weighted.union(vs.map(_.delta))))
-  }
+  /** Concatenated, consolidated weighted delta over `(t0, t1]`. A single
+    * version's stored delta is returned as it is: every stored delta is
+    * already consolidated, and consolidating it again is a shuffle that
+    * changes nothing.
+    */
+  def deltaBetween(t0: Long, t1: Long): Option[DataFrame] =
+    versionsBetween(t0, t1) match {
+      case Seq()  => None
+      case Seq(v) => Some(v.delta)
+      case vs     => Some(Weighted.consolidate(Weighted.union(vs.map(_.delta))))
+    }
 
   def allDataTimestamps: Seq[Long] = synchronized(byDataTs.keys.toSeq)
   def versionCount: Int = synchronized(versions.size)

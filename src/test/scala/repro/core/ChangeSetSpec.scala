@@ -21,6 +21,14 @@ class ChangeSetSpec extends ReproSpec {
     assert(id.length > "alpha-".length + 30, "row id should contain a sha1 hash")
   }
 
+  test("row id of a fixed tuple is pinned (separator and null tag bytes)") {
+    // sha1("alpha" + "\u0001" + "1" + "\u0001" + "\u0000"): the separator and
+    // the null tag are part of every stored row id, so they must never change.
+    val d = Seq(("alpha", 1, Option.empty[String])).toDF("k", "v", "n")
+    val id = d.select(ChangeSet.rowIdExpr(Seq("k", "v", "n"))).collect().head.getString(0)
+    assert(id == "alpha-23956a31dfdfd30b897048327abe7537d2b7ea6f")
+  }
+
   test("identical data tuples get identical row ids; different tuples differ") {
     val d = Seq(("a", 1, 1L), ("a", 1, 1L), ("a", 2, 1L)).toDF("k", "v", Weighted.W)
     val ids = d.select(ChangeSet.rowIdExpr(Seq("k", "v"))).collect().map(_.getString(0))
@@ -42,12 +50,13 @@ class ChangeSetSpec extends ReproSpec {
 
   test("duplicateActionPairs is 0 on consolidated deltas") {
     val d = Weighted.consolidate(Seq(("a", 1L), ("a", 1L), ("b", -1L)).toDF("k", Weighted.W))
-    assert(ChangeSet.duplicateActionPairs(ChangeSet.fromWeighted(d)) == 0L)
+    assert(ChangeSet.duplicateActionPairs(ChangeSet.fromWeighted(d)).isEmpty)
   }
 
   test("duplicateActionPairs detects the §6.1 invariant violation") {
     // Two INSERT rows with the same data tuple (unconsolidated) share a row id.
-    val d = Seq(("a", 1L), ("a", 2L)).toDF("k", Weighted.W)
-    assert(ChangeSet.duplicateActionPairs(ChangeSet.fromWeighted(d)) == 1L)
+    val d = Seq(("a", 1L), ("a", 2L), ("b", 1L)).toDF("k", Weighted.W)
+    val rowIdOfA = d.select(ChangeSet.rowIdExpr(Seq("k"))).collect().head.getString(0)
+    assert(ChangeSet.duplicateActionPairs(ChangeSet.fromWeighted(d)) == Seq((rowIdOfA, "INSERT")))
   }
 }

@@ -48,7 +48,7 @@ class DifferentiatorSpec extends ReproSpec {
     }
     val delta = Differentiator.delta(q, bind)
     // Invariant: at most one change row per data tuple (consolidated).
-    assert(ChangeSet.duplicateActionPairs(ChangeSet.fromWeighted(delta)) == 0L, s"$hint: unconsolidated delta")
+    assert(ChangeSet.duplicateActionPairs(ChangeSet.fromWeighted(delta)).isEmpty, s"$hint: unconsolidated delta")
     val oldRes = Eval.snapshot(q, s => sources(s)._1)
     val newRes = Eval.snapshot(q, s => sources(s)._2)
     val applied = Weighted.consolidate(Weighted.fromSnapshot(oldRes).unionByName(delta))

@@ -185,6 +185,40 @@ class EngineSpec extends ReproSpec {
     intercept[IllegalArgumentException](e.dml("events", kv(), kv((9, "q", 9.9))))
   }
 
+  test("a merge that would delete a missing row fails the refresh (§6.1 validation #3)") {
+    val (e, clock) = newEngine()
+    e.createBaseTable("events", kv((1, "a", 1.0), (2, "b", 2.0)))
+    e.createDynamicTable(DtSpec("copy", Filter(Scan("events"), "v > 0"), LagSeconds(600)))
+    // Doctor the DT: a version that lost row 1 behind the engine's back.
+    clock.advance(1)
+    val vt = e.tm.table("copy")
+    val lost = vt.latest.snapshot.where("k <> 1")
+    vt.commit(vt.latest.copy(commitTs = e.tm.hlc.now(), dataTs = clock.nowSeconds, snapshot = lost))
+    clock.advance(5)
+    e.dml("events", kv(), kv((1, "a", 1.0)))
+    clock.advance(5)
+    val ex = intercept[IllegalArgumentException](e.refresh("copy", clock.nowSeconds))
+    assert(ex.getMessage.contains("not present in the DT (§6.1 validation)"), ex.getMessage)
+    assert(e.dtState("copy").consecutiveFailures == 1)
+  }
+
+  test("a change set with a duplicate ($ROW_ID, $ACTION) pair fails the refresh (§6.1 validation #2)") {
+    val (e, clock) = newEngine()
+    e.createBaseTable("events", kv((1, "a", 1.0)))
+    e.createDynamicTable(DtSpec("copy", Filter(Scan("events"), "v > 0"), LagSeconds(600)))
+    // Doctor the base table: a version whose stored delta is not consolidated
+    // (one tuple inserted twice, as two rows).
+    clock.advance(5)
+    val vt = e.tm.table("events")
+    val twice = Weighted.fromSnapshot(kv((2, "b", 2.0), (2, "b", 2.0)))
+    vt.commit(vt.latest.copy(commitTs = e.tm.hlc.now(), dataTs = clock.nowSeconds,
+      snapshot = vt.latest.snapshot.unionByName(Weighted.consolidate(twice)), delta = twice, deltaRows = 2))
+    clock.advance(5)
+    val ex = intercept[IllegalArgumentException](e.refresh("copy", clock.nowSeconds))
+    assert(ex.getMessage.contains("1 duplicate ($ROW_ID, $ACTION) pair(s)"), ex.getMessage)
+    assert(ex.getMessage.contains("INSERT") && ex.getMessage.contains("(§6.1 validation)"), ex.getMessage)
+  }
+
   test("successful refresh resets the failure counter") {
     val (e, clock) = newEngine(failureThreshold = 3)
     e.createBaseTable("events", kv((1, "a", 1.0)))

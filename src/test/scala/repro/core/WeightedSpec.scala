@@ -62,8 +62,8 @@ class WeightedSpec extends ReproSpec {
 
   test("isEmpty is true when weights cancel") {
     val df = Seq(("a", 1L), ("a", -1L)).toDF("k", Weighted.W)
-    assert(Weighted.isEmpty(df))
-    assert(!Weighted.isEmpty(Seq(("a", 1L)).toDF("k", Weighted.W)))
+    assert(Weighted.consolidate(df).isEmpty)
+    assert(!Weighted.consolidate(Seq(("a", 1L)).toDF("k", Weighted.W)).isEmpty)
   }
 
   test("semiJoinOnKeys restricts null-safely") {

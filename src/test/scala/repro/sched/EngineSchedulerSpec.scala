@@ -51,6 +51,28 @@ class EngineSchedulerSpec extends ReproSpec {
     assert(results.map(_.dataTs).distinct.size == 1)
   }
 
+  test("a failing DT is recorded and the other DTs keep refreshing (§3.3.3)") {
+    val (e, clock) = newEngine(start = 0)
+    e.createBaseTable("events", Seq(("a", 1.0)).toDF("k", "v"))
+    // division by zero on refresh only once a row with v = 5 arrives
+    e.createDynamicTable(DtSpec("bad",
+      Project(Scan("events"), Seq("k" -> "k", "boom" -> "cast(v / (v - 5.0) as double)")), LagSeconds(96)))
+    e.createDynamicTable(DtSpec("copy", Filter(Scan("events"), "v > 0"), LagSeconds(96)))
+    val sched = new EngineScheduler(e, clock)
+    e.insert("events", Seq(("x", 5.0)).toDF("k", "v"))
+    val ansi = spark.conf.get("spark.sql.ansi.enabled")
+    spark.conf.set("spark.sql.ansi.enabled", "true")
+    val results =
+      try sched.advanceTo(200)
+      finally spark.conf.set("spark.sql.ansi.enabled", ansi)
+    assert(sched.failures.map(f => (f.dt, f.dataTs)) == Seq(("bad", 96L), ("bad", 192L)))
+    assert(sched.failures.forall(f =>
+      Iterator.iterate[Throwable](f.cause)(_.getCause).takeWhile(_ != null).exists(c =>
+        Option(c.getMessage).exists(_.contains("DIVIDE_BY_ZERO")))))
+    assert(e.dtState("bad").consecutiveFailures == 2)
+    assert(results.map(r => (r.dt, r.dataTs)) == Seq(("copy", 96L), ("copy", 192L)))
+  }
+
   test("changes land in the DT within one period (lag bound holds)") {
     val (e, clock) = newEngine(start = 0)
     e.createBaseTable("events", Seq(("a", 1.0)).toDF("k", "v"))

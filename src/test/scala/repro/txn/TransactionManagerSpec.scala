@@ -41,8 +41,10 @@ class TransactionManagerSpec extends ReproSpec {
     val (tm, clock) = mk()
     tm.createBaseTable("t", Seq(("a", 1)).toDF("k", "v"))
     clock.advance(1)
-    intercept[IllegalArgumentException](
+    val ex = intercept[IllegalArgumentException](
       tm.dml("t", Seq.empty[(String, Int)].toDF("k", "v"), Seq(("zz", 9)).toDF("k", "v")))
+    assert(ex.getMessage.contains("not present in the table"))
+    assert(tm.table("t").versionCount == 1, "a failed DML commits nothing")
   }
 
   test("multiset semantics: inserting a duplicate row raises its multiplicity") {

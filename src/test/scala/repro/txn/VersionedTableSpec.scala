@@ -76,4 +76,11 @@ class VersionedTableSpec extends ReproSpec {
     assert(d.isDefined && d.get.isEmpty, "insert then delete of x must cancel")
     assert(vt.deltaBetween(20, 20).isEmpty)
   }
+
+  test("deltaBetween over one version returns that version's stored delta") {
+    val vt = table3
+    val stored = vt.versionAtExactly(20).get.delta
+    assert(vt.deltaBetween(10, 20).exists(_ eq stored), "no second consolidation of a stored delta")
+    assert(vt.deltaBetween(15, 25).exists(_ eq stored))
+  }
 }
