@@ -51,10 +51,17 @@ final class DtState(val spec: DtSpec) {
     * uninitialized DT is an error).
     */
   var frontier: Option[Frontier] = None
-  /** Consecutive refresh failures; at the threshold the DT auto-suspends
-    * to stop wasting compute (§3.3.3).
+  /** Consecutive refresh failures; at [[DtState.FailureThreshold]] the DT
+    * auto-suspends to stop wasting compute (§3.3.3).
     */
   var consecutiveFailures: Int = 0
   var suspended: Boolean = false
   def isInitialized: Boolean = frontier.isDefined
+}
+
+object DtState {
+  /** Consecutive failures that suspend a DT (§3.3.3), in the engine and in
+    * the scheduling simulator alike.
+    */
+  val FailureThreshold: Int = 5
 }

@@ -31,14 +31,14 @@ import scala.collection.mutable
   *   3. a merge must never delete a row that is not present (a guard
   *      inside the plan the merge's checkpoint job runs anyway).
   */
-final class Engine(val spark: SparkSession, val clock: Clock, failureThreshold: Int = 5) {
+final class Engine(val spark: SparkSession, val clock: Clock) {
   val tm = new TransactionManager(clock)
   private val dts = mutable.LinkedHashMap.empty[String, DtState]
 
   def isDt(name: String): Boolean = dts.contains(name)
   def dtState(name: String): DtState =
     dts.getOrElse(name, throw new NoSuchElementException(s"unknown dynamic table $name"))
-  def graph: DtGraph = new DtGraph(dts.values.map(_.spec).toSeq)
+  def graph: DtGraph = DtGraph.fromSpecs(dts.values.map(_.spec).toSeq)
 
   // ---- base-table DDL/DML (delegated to the transaction manager) ----
   def createBaseTable(name: String, contents: DataFrame): Unit = { tm.createBaseTable(name, contents); () }
@@ -116,11 +116,18 @@ final class Engine(val spark: SparkSession, val clock: Clock, failureThreshold: 
     val initTs = candidate.getOrElse {
       val floor = (upDts.map(u => dataTimestamp(u)) :+ (now - 1)).max
       val ts = math.max(now, floor + 1)
-      g.upstreamClosure(name).foreach(u => if (dataTimestamp(u) < ts) refresh(u, ts))
+      catchUpUpstream(g, name, ts)
       ts
     }
     runInitialization(name, initTs)
   }
+
+  /** Refresh every DT in `name`'s upstream closure that is behind `ts`, in
+    * topological order. Throws on the first failure: a command on `name`
+    * fails when its upstream cannot reach `ts`.
+    */
+  private def catchUpUpstream(g: DtGraph, name: String, ts: Long): Unit =
+    g.upstreamClosure(name).foreach(u => if (dataTimestamp(u) < ts) refresh(u, ts))
 
   private def runInitialization(name: String, initTs: Long): RefreshResult = tm.withLock(name) {
     val st = dtState(name)
@@ -130,7 +137,7 @@ final class Engine(val spark: SparkSession, val clock: Clock, failureThreshold: 
     val weighted = pin(Weighted.consolidate(Weighted.fromSnapshot(snapPlain)))
     val rows = pinnedRows(weighted)
     tm.table(name).commit(TableVersion(tm.hlc.now(), initTs, weighted, weighted, rows, 0L))
-    st.frontier = Some(Frontier.initial(initTs, srcs, resolved.map { case (s, v) => s -> v.lineageEpoch }, tm.hlc.peek()))
+    st.frontier = Some(Frontier(initTs, resolved.map { case (s, v) => s -> v.lineageEpoch }))
     RefreshResult(name, FullRefresh, initTs, rows)
   }
 
@@ -147,8 +154,8 @@ final class Engine(val spark: SparkSession, val clock: Clock, failureThreshold: 
         throw new IllegalStateException(s"base table $s has no version at or before $ts"))
 
   /** Refresh `name` to data timestamp `refreshTs` (> current). Errors
-    * increment the consecutive-failure counter; at `failureThreshold` the
-    * DT auto-suspends (§3.3.3).
+    * increment the consecutive-failure counter; at
+    * [[DtState.FailureThreshold]] the DT auto-suspends (§3.3.3).
     */
   def refresh(name: String, refreshTs: Long): RefreshResult = {
     val st = dtState(name)
@@ -160,7 +167,7 @@ final class Engine(val spark: SparkSession, val clock: Clock, failureThreshold: 
     } catch {
       case e: Throwable =>
         st.consecutiveFailures += 1
-        if (st.consecutiveFailures >= failureThreshold) st.suspended = true
+        if (st.consecutiveFailures >= DtState.FailureThreshold) st.suspended = true
         throw e
     }
   }
@@ -177,8 +184,7 @@ final class Engine(val spark: SparkSession, val clock: Clock, failureThreshold: 
     val vt = tm.table(name)
     val newEpochs = newV.map { case (s, v) => s -> v.lineageEpoch }
 
-    def advance(): Unit =
-      st.frontier = Some(fr.advance(refreshTs, srcs, newEpochs, tm.hlc.peek()))
+    def advance(): Unit = st.frontier = Some(fr.advance(refreshTs, newEpochs))
 
     if (changedRows == 0L && !epochChanged) {
       // NO_DATA: metadata-only commit — zero warehouse compute (§5.4).
@@ -227,20 +233,9 @@ final class Engine(val spark: SparkSession, val clock: Clock, failureThreshold: 
     */
   def refreshManual(name: String): RefreshResult = {
     val g = graph
-    val closure = g.upstreamClosure(name) :+ name
-    val floor = closure.map(dataTimestamp).max
+    val floor = (g.upstreamClosure(name) :+ name).map(dataTimestamp).max
     val ts = math.max(clock.nowSeconds, floor + 1)
-    closure.dropRight(1).foreach(u => if (dataTimestamp(u) < ts) refresh(u, ts))
+    catchUpUpstream(g, name, ts)
     refresh(name, ts)
   }
-
-  /** Refresh every initialized, non-suspended DT at data timestamp `ts`
-    * in topological order (used by the micro-batch driver and tests; the
-    * production scheduler in `repro.sched` makes finer-grained choices).
-    */
-  def refreshGraphAt(ts: Long): Seq[RefreshResult] =
-    graph.topoOrder.flatMap { n =>
-      val st = dtState(n)
-      if (st.isInitialized && !st.suspended && dataTimestamp(n) < ts) Some(refresh(n, ts)) else None
-    }
 }

@@ -53,12 +53,6 @@ object Weighted {
   def union(dfs: Seq[DataFrame]): DataFrame =
     dfs.reduceLeft(_.unionByName(_))
 
-  /** Scale every weight by the value of another integral column, then drop
-    * that column. Used for the bilinear join rule where weights multiply.
-    */
-  def scaleBy(df: DataFrame, other: String): DataFrame =
-    df.withColumn(W, col(W) * col(other)).drop(other)
-
   /** Expand a weighted relation back into a plain multiset: a row of
     * weight `w > 0` becomes `w` identical rows. Throws at execution time
     * if any weight is negative (corrupt state / delete-of-missing-row).

@@ -3,6 +3,7 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.{SynthCdc, SynthData}
 import repro.core._
+import repro.exp.Timing.timeMs
 import repro.sched.SimClock
 
 /** T2 — incremental vs full refresh cost across change fractions
@@ -40,12 +41,6 @@ object T2IncrementalCost {
         Tables.ms(p.tIncrMs), Tables.ms(p.tFullMs), f"${p.speedup}%.2fx")),
       Seq("paper: incremental wins when a small fraction changed; large fractions favour FULL"),
     )
-  }
-
-  private def timeMs[A](body: => A): (A, Double) = {
-    val t0 = System.nanoTime()
-    val a = body
-    (a, (System.nanoTime() - t0) / 1e6)
   }
 
   /** (name, query, needs part table, scale multiplier vs `sf`). Sums use

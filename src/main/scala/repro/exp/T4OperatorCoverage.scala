@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import repro.SynthData
 import repro.core._
+import repro.exp.Timing.timeMs
 import repro.sched.SimClock
 
 /** T4 — operator coverage and incremental speedup (§3.3.2 operator list +
@@ -47,10 +48,6 @@ object T4OperatorCoverage {
     "scalar aggregate" -> Aggregate(Scan("fact"), Nil,
       Seq("n" -> "count(1)", "s" -> "sum(cast(v as decimal(20,10)))")),
   )
-
-  private def timeMs[A](body: => A): (A, Double) = {
-    val t0 = System.nanoTime(); val a = body; (a, (System.nanoTime() - t0) / 1e6)
-  }
 
   def run(spark: SparkSession, rows: Long = 100_000L, nKeys: Long = 10_000L): Result = {
     val out = operators.map { case (name, q) =>

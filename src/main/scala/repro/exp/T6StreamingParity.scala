@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.functions._
 import repro.core._
+import repro.exp.Timing.timeMs
 import repro.sched.SimClock
 import repro.streaming.{MicroBatchDriver, StreamingIvm}
 import scala.util.Random
@@ -72,10 +73,7 @@ object T6StreamingParity {
         val data = batch(i)
         total += data.size
         val before = driver.refreshResults.size
-        val t0 = System.nanoTime()
-        stream.addData(data: _*)
-        engineQuery.processAllAvailable()
-        val ms = (System.nanoTime() - t0) / 1e6
+        val (_, ms) = timeMs { stream.addData(data: _*); engineQuery.processAllAvailable() }
         val action = driver.refreshResults.drop(before).lastOption.map(_.action.toString).getOrElse("-")
         batchRows += BatchRow(i, data.size.toLong, action, ms)
         ssStream.addData(data: _*)

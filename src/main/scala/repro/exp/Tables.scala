@@ -18,6 +18,16 @@ object Tables {
   def ms(x: Double): String = f"$x%.0f ms"
 }
 
+/** The one stopwatch of the harnesses. */
+object Timing {
+  /** Run `body`; return its value and its wall time in milliseconds. */
+  def timeMs[A](body: => A): (A, Double) = {
+    val t0 = System.nanoTime()
+    val a = body
+    (a, (System.nanoTime() - t0) / 1e6)
+  }
+}
+
 /** Measurement hygiene for the Spark-backed harnesses. */
 object Cleanup {
   /** Unpersist every cached/localCheckpointed RDD left by previously

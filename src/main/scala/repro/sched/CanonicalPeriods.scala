@@ -23,9 +23,4 @@ object CanonicalPeriods {
     require(targetLagSeconds > 0, "target lag must be positive")
     upTo(targetLagSeconds).last
   }
-
-  /** Period for a DT given its effective lag (min over itself and all
-    * downstream consumers, so upstream periods divide downstream periods).
-    */
-  def periodFor(effectiveLag: Option[Long]): Option[Long] = effectiveLag.map(periodFor)
 }

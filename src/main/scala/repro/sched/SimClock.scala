@@ -9,11 +9,6 @@ trait Clock {
   def nowSeconds: Long
 }
 
-/** Real wall-clock, for jobs that measure actual refresh durations. */
-object WallClock extends Clock {
-  override def nowSeconds: Long = System.currentTimeMillis() / 1000L
-}
-
 /** Manually advanced virtual clock for deterministic simulation. */
 final class SimClock(start: Long = 0L) extends Clock {
   private var t: Long = start

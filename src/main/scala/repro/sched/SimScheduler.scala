@@ -1,5 +1,6 @@
 package repro.sched
 
+import repro.core.{DownstreamLag, DtGraph, DtState, LagSeconds, TargetLag}
 import scala.collection.mutable
 
 /** A DT node in the scheduling simulator. The simulator reproduces the
@@ -9,12 +10,14 @@ import scala.collection.mutable
   *
   * @param upstream      upstream DT names (data-timestamp aligned reads).
   * @param baseSources   names of raw sources, fed by the change feed.
-  * @param targetLag     resolved target lag (None = on-demand only).
+  * @param targetLag     target lag (None = DOWNSTREAM: inherit the
+  *                      downstream lag, or refresh on demand only).
   * @param fixedCost     seconds per refresh regardless of data volume.
   * @param varCostPerRow seconds per changed input row.
   * @param amplification output changed rows per input changed row.
   * @param failAtDataTs  data timestamps whose refresh fails (user errors,
-  *                      §3.3.3 — failures are not retried; consecutive
+  *                      §3.3.3 — failures are not retried;
+  *                      [[repro.core.DtState.FailureThreshold]] consecutive
   *                      failures suspend the DT).
   */
 final case class SimNode(
@@ -38,7 +41,6 @@ final case class SimNodeResult(
     failedDataTs: Seq[Long],
     suspendedAt: Option[Long],
 ) {
-  def actions: Map[String, Int] = records.groupBy(_.action).view.mapValues(_.size).toMap
   def sawtooth: LagTracker.Sawtooth = LagTracker.sawtooth(records)
 }
 
@@ -47,7 +49,8 @@ final case class SimNodeResult(
   * Semantics implemented:
   *   - canonical periods `48·2^n` from each node's *effective* lag (min of
   *     its own lag and all downstream lags), phase 0, so data timestamps
-  *     align across the graph;
+  *     align across the graph — the [[repro.core.DtGraph]] policy the
+  *     engine's scheduler uses too;
   *   - a refresh at data timestamp v starts only once every upstream DT
   *     has completed v (the wait contributes to `w`), and only when its
   *     warehouse is free (warehouses execute refreshes serially);
@@ -56,55 +59,24 @@ final case class SimNodeResult(
   *     skipped interval, shedding the skipped refresh's fixed cost;
   *   - refreshes over an interval with zero changed rows take the NO_DATA
   *     action: instantaneous, no warehouse time;
-  *   - failures don't advance the data timestamp; `failureThreshold`
-  *     consecutive failures suspend the node.
+  *   - failures don't advance the data timestamp;
+  *     [[repro.core.DtState.FailureThreshold]] consecutive failures
+  *     suspend the node.
   */
-final class SimScheduler(
-    nodes: Seq[SimNode],
-    sourceChanges: (String, Long, Long) => Long,
-    failureThreshold: Int = 5,
-) {
-  private val byName = nodes.map(n => n.name -> n).toMap
-  require(byName.size == nodes.size, "duplicate node names")
-  nodes.foreach(n => n.upstream.foreach(u => require(byName.contains(u), s"unknown upstream $u of ${n.name}")))
+final class SimScheduler(nodes: Seq[SimNode], sourceChanges: (String, Long, Long) => Long) {
+  private val graph = new DtGraph(nodes.map(n =>
+    DtGraph.Node(n.name, n.upstream, n.targetLag.fold[TargetLag](DownstreamLag)(LagSeconds(_)))))
+  private val topo = graph.topoOrder
 
-  /** Topological order (upstream first). */
-  val topo: Seq[String] = {
-    val done = mutable.LinkedHashSet.empty[String]
-    val visiting = mutable.Set.empty[String]
-    def visit(n: String): Unit = if (!done.contains(n)) {
-      require(visiting.add(n), s"cycle through $n")
-      byName(n).upstream.foreach(visit)
-      visiting.remove(n); done += n
-    }
-    nodes.map(_.name).foreach(visit)
-    done.toSeq
-  }
+  val periods: Map[String, Option[Long]] = graph.periods
 
-  private val downstreamOf: Map[String, Seq[String]] =
-    topo.map(n => n -> nodes.filter(_.upstream.contains(n)).map(_.name)).toMap
-
-  /** Effective lag per node = min(own, downstream effective lags). */
-  val effectiveLag: Map[String, Option[Long]] = {
-    val memo = mutable.Map.empty[String, Option[Long]]
-    def eff(n: String): Option[Long] = memo.getOrElseUpdate(n, {
-      val xs = byName(n).targetLag.toSeq ++ downstreamOf(n).flatMap(eff)
-      if (xs.isEmpty) None else Some(xs.min)
-    })
-    topo.reverse.foreach(eff)
-    memo.toMap
-  }
-
-  val periods: Map[String, Option[Long]] =
-    topo.map(n => n -> CanonicalPeriods.periodFor(effectiveLag(n))).toMap
-
-  private final case class Pending(dataTs: Long, since: Long)
   private final case class Running(dataTs: Long, start: Long, endsAt: Long, rows: Long)
 
   private final class St(val node: SimNode) {
     var lastDataTs: Long = 0L
     val emitted = mutable.TreeMap.empty[Long, Long]
-    var pending: Option[Pending] = None
+    /** Data timestamp of the refresh waiting to start. */
+    var pending: Option[Long] = None
     var running: Option[Running] = None
     val records = mutable.ArrayBuffer.empty[RefreshRecord]
     val skipped = mutable.ArrayBuffer.empty[Long]
@@ -117,8 +89,8 @@ final class SimScheduler(
     * data timestamp 0.
     */
   def run(horizon: Long): Map[String, SimNodeResult] = {
-    val st = topo.map(n => n -> new St(byName(n))).toMap
-    val whBusy = mutable.Map.empty[String, String] // warehouse -> running node
+    val st = nodes.map(n => n.name -> new St(n)).toMap
+    val busy = mutable.Set.empty[String] // warehouses running a refresh
 
     def inputRows(s: St, t0: Long, t1: Long): Long = {
       val base = s.node.baseSources.map(b => sourceChanges(b, t0, t1)).sum
@@ -130,11 +102,11 @@ final class SimScheduler(
       // 1. completions
       for (n <- topo; s = st(n); r <- s.running if r.endsAt == t) {
         s.running = None
-        whBusy.remove(s.node.warehouse)
+        busy -= s.node.warehouse
         if (s.node.failAtDataTs.contains(r.dataTs)) {
           s.failed += r.dataTs
           s.consecutiveFailures += 1
-          if (s.consecutiveFailures >= failureThreshold && s.suspendedAt.isEmpty) s.suspendedAt = Some(t)
+          if (s.consecutiveFailures >= DtState.FailureThreshold && s.suspendedAt.isEmpty) s.suspendedAt = Some(t)
         } else {
           val outRows = math.ceil(r.rows * s.node.amplification).toLong
           s.records += RefreshRecord(r.dataTs, r.start, t, "INCREMENTAL", outRows)
@@ -144,27 +116,27 @@ final class SimScheduler(
         }
       }
       // 2. ticks
-      for (n <- topo; s = st(n); p <- periods(n) if t % p == 0 && s.suspendedAt.isEmpty) {
+      for (n <- graph.dueAt(t); s = st(n) if s.suspendedAt.isEmpty) {
         if (s.pending.isDefined || s.running.isDefined) s.skipped += t
-        else s.pending = Some(Pending(t, t))
+        else s.pending = Some(t)
       }
       // 3. starts (topo order ~ FIFO per warehouse)
-      for (n <- topo; s = st(n); p <- s.pending) {
-        val upstreamReady = s.node.upstream.forall(u => st(u).lastDataTs >= p.dataTs)
+      for (n <- topo; s = st(n); v <- s.pending) {
+        val upstreamReady = s.node.upstream.forall(u => st(u).lastDataTs >= v)
         if (upstreamReady) {
-          val rows = inputRows(s, s.lastDataTs, p.dataTs)
-          if (rows == 0L && !s.node.failAtDataTs.contains(p.dataTs)) {
+          val rows = inputRows(s, s.lastDataTs, v)
+          if (rows == 0L && !s.node.failAtDataTs.contains(v)) {
             // NO_DATA: no warehouse, completes instantly.
             s.pending = None
-            s.records += RefreshRecord(p.dataTs, t, t, "NO_DATA", 0L)
-            s.emitted(p.dataTs) = 0L
-            s.lastDataTs = p.dataTs
+            s.records += RefreshRecord(v, t, t, "NO_DATA", 0L)
+            s.emitted(v) = 0L
+            s.lastDataTs = v
             s.consecutiveFailures = 0
-          } else if (!whBusy.contains(s.node.warehouse)) {
+          } else if (!busy.contains(s.node.warehouse)) {
             val d = math.max(1L, math.ceil(s.node.fixedCost + s.node.varCostPerRow * rows).toLong)
             s.pending = None
-            s.running = Some(Running(p.dataTs, t, t + d, rows))
-            whBusy(s.node.warehouse) = n
+            s.running = Some(Running(v, t, t + d, rows))
+            busy += s.node.warehouse
           }
         }
       }

@@ -3,7 +3,7 @@ package repro.streaming
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.streaming.StreamingQuery
 import repro.core.{Engine, RefreshResult}
-import repro.sched.SimClock
+import repro.sched.{EngineScheduler, RefreshFailure, SimClock}
 import scala.collection.mutable
 
 /** Bridges Spark Structured Streaming into the dynamic-table engine.
@@ -14,7 +14,9 @@ import scala.collection.mutable
   * `foreachBatch`: every micro-batch is committed as a base-table DML
   * transaction, the (virtual) clock advances by one batch period, and the
   * DT graph is refreshed at the new data timestamp — so each micro-batch
-  * is exactly one refresh interval.
+  * is exactly one refresh interval. A DT whose refresh fails is recorded
+  * in [[failures]]; the other DTs still refresh and the query keeps
+  * running (§3.3.3).
   */
 final class MicroBatchDriver(
     engine: Engine,
@@ -22,10 +24,14 @@ final class MicroBatchDriver(
     targetTable: String,
     batchPeriodSeconds: Long = 48L,
 ) {
+  private val scheduler = new EngineScheduler(engine, clock)
   private val results = mutable.ArrayBuffer.empty[RefreshResult]
 
   /** Refresh outcomes of all micro-batches processed so far. */
   def refreshResults: Seq[RefreshResult] = synchronized(results.toSeq)
+
+  /** Refreshes that failed in the micro-batches processed so far. */
+  def failures: Seq[RefreshFailure] = synchronized(scheduler.failures)
 
   /** Start consuming `stream` (an append-only streaming DataFrame whose
     * schema matches `targetTable`).
@@ -41,7 +47,7 @@ final class MicroBatchDriver(
         synchronized {
           if (!pinned.isEmpty) engine.insert(targetTable, pinned)
           clock.advance(batchPeriodSeconds)
-          results ++= engine.refreshGraphAt(clock.nowSeconds)
+          results ++= scheduler.refreshAllAt(clock.nowSeconds)
         }
         ()
       }

@@ -3,28 +3,15 @@ package repro.txn
 /** The progress marker of a dynamic table (§5.3).
   *
   * The user-visible *data timestamp* is an abstraction over this richer
-  * object: a map from each source table to the data timestamp the DT has
-  * consumed from it, plus the HLC timestamp of the refresh that installed
-  * it, plus the lineage epochs observed (used to detect upstream
-  * replacements that force REINITIALIZE).
+  * object: the data timestamp every source was consumed at, plus the
+  * lineage epochs observed (used to detect upstream replacements that
+  * force REINITIALIZE).
   */
-final case class Frontier(
-    dataTs: Long,
-    consumed: Map[String, Long],
-    epochs: Map[String, Long],
-    refreshHlc: Hlc.Timestamp,
-) {
-  require(consumed.values.forall(_ <= dataTs),
-    s"frontier consumed entries exceed data timestamp $dataTs: $consumed")
+final case class Frontier(dataTs: Long, epochs: Map[String, Long]) {
 
-  /** Advance to a new data timestamp, consuming `sources` at `newTs`. */
-  def advance(newTs: Long, sources: Iterable[String], newEpochs: Map[String, Long], hlc: Hlc.Timestamp): Frontier = {
+  /** Advance to a new data timestamp, observing `newEpochs`. */
+  def advance(newTs: Long, newEpochs: Map[String, Long]): Frontier = {
     require(newTs > dataTs, s"frontier must advance: $dataTs -> $newTs")
-    Frontier(newTs, consumed ++ sources.map(_ -> newTs), epochs ++ newEpochs, hlc)
+    Frontier(newTs, epochs ++ newEpochs)
   }
-}
-
-object Frontier {
-  def initial(dataTs: Long, sources: Iterable[String], epochs: Map[String, Long], hlc: Hlc.Timestamp): Frontier =
-    Frontier(dataTs, sources.map(_ -> dataTs).toMap, epochs, hlc)
 }

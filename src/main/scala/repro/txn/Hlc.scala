@@ -52,7 +52,4 @@ final class HlcClock(physical: () => Long) {
     last = Hlc.Timestamp(l1, c1)
     last
   }
-
-  /** Most recent timestamp issued (no advance). */
-  def peek(): Hlc.Timestamp = synchronized(last)
 }

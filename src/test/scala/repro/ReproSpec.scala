@@ -11,9 +11,9 @@ import repro.sched.SimClock
 trait ReproSpec extends SparkSpec {
 
   /** Engine on a fresh virtual clock starting at t=1000 s. */
-  def newEngine(start: Long = 1000L, failureThreshold: Int = 5): (Engine, SimClock) = {
+  def newEngine(start: Long = 1000L): (Engine, SimClock) = {
     val clock = new SimClock(start)
-    (new Engine(spark, clock, failureThreshold), clock)
+    (new Engine(spark, clock), clock)
   }
 
   private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {

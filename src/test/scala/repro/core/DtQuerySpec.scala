@@ -41,13 +41,14 @@ class DtQuerySpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Join(Scan("a"), Scan("b"), Nil, Nil))
   }
 
-  private def graph3 = {
+  private def specs3 = {
     // base -> a -> b -> c, with lags 600 / DOWNSTREAM / 3600
     val a = DtSpec("a", Filter(Scan("base"), "x > 0"), LagSeconds(600))
     val b = DtSpec("b", Filter(Scan("a"), "x > 1"), DownstreamLag)
     val c = DtSpec("c", Filter(Scan("b"), "x > 2"), LagSeconds(3600))
-    new DtGraph(Seq(c, a, b)) // deliberately out of order
+    Seq(c, a, b) // deliberately out of order
   }
+  private def graph3 = DtGraph.fromSpecs(specs3)
 
   test("topoOrder puts upstream before downstream") {
     val order = graph3.topoOrder
@@ -65,7 +66,7 @@ class DtQuerySpec extends AnyFunSuite {
   test("cycles are rejected (§3.1.1)") {
     val x = DtSpec("x", Filter(Scan("y"), "true"), LagSeconds(60))
     val y = DtSpec("y", Filter(Scan("x"), "true"), LagSeconds(60))
-    intercept[IllegalArgumentException](new DtGraph(Seq(x, y)).topoOrder)
+    intercept[IllegalArgumentException](DtGraph.fromSpecs(Seq(x, y)).topoOrder)
   }
 
   test("DOWNSTREAM lag resolves to the minimum downstream lag (§3.2)") {
@@ -77,7 +78,7 @@ class DtQuerySpec extends AnyFunSuite {
 
   test("DOWNSTREAM with no consumers refreshes only on demand") {
     val lone = DtSpec("lone", Filter(Scan("base"), "true"), DownstreamLag)
-    assert(new DtGraph(Seq(lone)).resolvedLag("lone").isEmpty)
+    assert(DtGraph.fromSpecs(Seq(lone)).resolvedLag("lone").isEmpty)
   }
 
   test("effective lag propagates the tightest downstream requirement upstream (§5.2)") {
@@ -90,7 +91,7 @@ class DtQuerySpec extends AnyFunSuite {
     assert(g.effectiveLag("a") == Some(600L))
     // now add a tight consumer on b: everything upstream tightens
     val d = DtSpec("d", Filter(Scan("b"), "x > 3"), LagSeconds(96))
-    val g2 = new DtGraph(g.specs :+ d)
+    val g2 = DtGraph.fromSpecs(specs3 :+ d)
     assert(g2.effectiveLag("b") == Some(96L))
     assert(g2.effectiveLag("a") == Some(96L))
   }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.ReproSpec
+import repro.sched.EngineScheduler
 import scala.util.Random
 
 /** The paper's strongest assertion (§6.1): *if you run the defining query
@@ -81,7 +82,7 @@ class DvsPropertySpec extends ReproSpec {
       contents = contents.diff(deletes) ++ inserts
       e.dml("t", df(inserts), df(deletes))
       clock.advance(10)
-      e.refreshGraphAt(clock.nowSeconds)
+      new EngineScheduler(e, clock).refreshAllAt(clock.nowSeconds)
       val src = Weighted.expand(e.tm.table("t").versionAtOrBefore(e.dataTimestamp("j")).get.snapshot)
       val expect = Eval.snapshot(joined, name => Eval.snapshot(
         if (name == "l") Filter(Scan("t"), "v >= 3")

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.ReproSpec
+import repro.sched.EngineScheduler
 
 /** End-to-end engine behaviour: refresh actions, DVS, initialization
   * timestamp selection, error handling, time travel (§3, §5).
@@ -89,7 +90,7 @@ class EngineSpec extends ReproSpec {
     e.insert("events", kv((4, "c", 10.0), (5, "a", 0.5)))
     clock.advance(10)
     val ts = clock.nowSeconds
-    val results = e.refreshGraphAt(ts)
+    val results = new EngineScheduler(e, clock).refreshAllAt(ts)
     assert(results.map(_.dt) == Seq("big", "agg2"))
     assert(e.dataTimestamp("big") == ts && e.dataTimestamp("agg2") == ts)
     assertSameRows(e.read("agg2"),
@@ -158,16 +159,17 @@ class EngineSpec extends ReproSpec {
   }
 
   test("failed refreshes count up and suspend the DT at the threshold (§3.3.3)") {
-    val (e, clock) = newEngine(failureThreshold = 3)
+    val (e, clock) = newEngine()
     e.createBaseTable("events", kv((1, "a", 1.0)))
     // division by zero on refresh only when data changes
     val bad = Project(Scan("events"), Seq("k" -> "k", "boom" -> "cast(v / (v - 5.0) as double)"))
     e.createDynamicTable(DtSpec("bad", bad, LagSeconds(600)))
     clock.advance(5)
     e.insert("events", kv((5, "x", 5.0))) // v=5 → division by zero in delta
+    val ansi = spark.conf.get("spark.sql.ansi.enabled")
     spark.conf.set("spark.sql.ansi.enabled", "true")
     try {
-      for (i <- 1 to 3) {
+      for (i <- 1 to DtState.FailureThreshold) {
         clock.advance(5)
         intercept[Exception](e.refresh("bad", clock.nowSeconds))
       }
@@ -176,7 +178,7 @@ class EngineSpec extends ReproSpec {
       intercept[IllegalArgumentException](e.refresh("bad", clock.nowSeconds))
       e.resume("bad")
       assert(!e.dtState("bad").suspended)
-    } finally spark.conf.set("spark.sql.ansi.enabled", "false")
+    } finally spark.conf.set("spark.sql.ansi.enabled", ansi)
   }
 
   test("deleting rows not present in a base table is rejected") {
@@ -220,10 +222,10 @@ class EngineSpec extends ReproSpec {
   }
 
   test("successful refresh resets the failure counter") {
-    val (e, clock) = newEngine(failureThreshold = 3)
+    val (e, clock) = newEngine()
     e.createBaseTable("events", kv((1, "a", 1.0)))
     e.createDynamicTable(DtSpec("agg", aggQuery, LagSeconds(600)))
-    e.dtState("agg").consecutiveFailures = 2
+    e.dtState("agg").consecutiveFailures = DtState.FailureThreshold - 1
     clock.advance(5)
     e.refresh("agg", clock.nowSeconds)
     assert(e.dtState("agg").consecutiveFailures == 0)

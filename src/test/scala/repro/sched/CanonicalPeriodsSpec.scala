@@ -1,9 +1,14 @@
 package repro.sched
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{DownstreamLag, DtGraph, LagSeconds, TargetLag}
 
 /** §5.2: canonical periods 48·2^n and their alignment property. */
 class CanonicalPeriodsSpec extends AnyFunSuite {
+
+  /** The period the graph policy gives a lone DT with target lag `lag`. */
+  private def periodOf(lag: TargetLag): Option[Long] =
+    new DtGraph(Seq(DtGraph.Node("x", Nil, lag))).periods("x")
 
   test("canonical set is 48·2^n") {
     assert(CanonicalPeriods.upTo(400) == Seq(48L, 96L, 192L, 384L))
@@ -29,7 +34,7 @@ class CanonicalPeriodsSpec extends AnyFunSuite {
   test("the chosen period can be substantially smaller than the lag (§5.2 confusion)") {
     // a 16-hour lag maps to ~13.7 hours; a 1-hour to ~51 min
     assert(CanonicalPeriods.periodFor(57600L) == 49152L)
-    assert(CanonicalPeriods.periodFor(None).isEmpty)
-    assert(CanonicalPeriods.periodFor(Some(3600L)) == Some(3072L))
+    assert(periodOf(DownstreamLag).isEmpty)
+    assert(periodOf(LagSeconds(3600L)) == Some(3072L))
   }
 }

@@ -73,6 +73,33 @@ class EngineSchedulerSpec extends ReproSpec {
     assert(results.map(r => (r.dt, r.dataTs)) == Seq(("copy", 96L), ("copy", 192L)))
   }
 
+  test("the simulator and the engine scheduler pick the same data timestamps (one §5.2 policy)") {
+    // events -> a -> b (DOWNSTREAM) -> c, and a -> d; c and d meet in e
+    val (e, clock) = newEngine(start = 0)
+    e.createBaseTable("events", Seq(("a", 1.0), ("b", 2.0)).toDF("k", "v"))
+    e.createDynamicTable(DtSpec("a", Filter(Scan("events"), "v > 0"), LagSeconds(96)))
+    e.createDynamicTable(DtSpec("b", Filter(Scan("a"), "v > 0"), DownstreamLag))
+    e.createDynamicTable(DtSpec("c", Filter(Scan("b"), "v > 1"), LagSeconds(500)))
+    e.createDynamicTable(DtSpec("d", Filter(Scan("a"), "v < 9"), LagSeconds(200)))
+    e.createDynamicTable(DtSpec("e", UnionAll(Scan("c"), Scan("d")), LagSeconds(800)))
+    clock.advance(10)
+    e.insert("events", Seq(("c", 3.0)).toDF("k", "v"))
+    val horizon = 800L
+    val engineTs = new EngineScheduler(e, clock).advanceTo(horizon).groupBy(_.dt).view.mapValues(_.map(_.dataTs)).toMap
+
+    // the same graph in the simulator: one warehouse per DT, 1 s per refresh
+    def node(name: String, upstream: Seq[String], lag: Option[Long]) =
+      SimNode(name, upstream, if (upstream.isEmpty) Seq("events") else Nil, lag, warehouse = name, fixedCost = 1)
+    val sim = new SimScheduler(Seq(
+      node("a", Nil, Some(96L)), node("b", Seq("a"), None), node("c", Seq("b"), Some(500L)),
+      node("d", Seq("a"), Some(200L)), node("e", Seq("c", "d"), Some(800L)),
+    ), (_, t0, t1) => t1 - t0).run(horizon)
+    val simTs = sim.view.mapValues(_.records.map(_.dataTs)).toMap
+
+    assert(engineTs == simTs)
+    assert(engineTs("a") == (96L to 768L by 96L) && engineTs("b") == Seq(384L, 768L) && engineTs("e") == Seq(768L))
+  }
+
   test("changes land in the DT within one period (lag bound holds)") {
     val (e, clock) = newEngine(start = 0)
     e.createBaseTable("events", Seq(("a", 1.0)).toDF("k", "v"))

@@ -99,7 +99,7 @@ class SimSchedulerSpec extends AnyFunSuite {
   test("consecutive failures suspend the DT (§3.3.3)") {
     val fails = (1 to 5).map(i => i * 96L).toSet
     val n = SimNode("a", baseSources = Seq("src"), targetLag = Some(96L), fixedCost = 5, failAtDataTs = fails)
-    val r = new SimScheduler(Seq(n), steady(1), failureThreshold = 5).run(2000)
+    val r = new SimScheduler(Seq(n), steady(1)).run(2000)
     assert(r("a").failedDataTs.size == 5)
     assert(r("a").suspendedAt.isDefined)
     // nothing runs after suspension
@@ -110,7 +110,7 @@ class SimSchedulerSpec extends AnyFunSuite {
   test("a failure burst below the threshold recovers") {
     val fails = Set(96L, 192L)
     val n = SimNode("a", baseSources = Seq("src"), targetLag = Some(96L), fixedCost = 5, failAtDataTs = fails)
-    val r = new SimScheduler(Seq(n), steady(1), failureThreshold = 5).run(1000)
+    val r = new SimScheduler(Seq(n), steady(1)).run(1000)
     assert(r("a").suspendedAt.isEmpty)
     assert(r("a").records.exists(_.dataTs > 192L), "resumes after failures")
   }

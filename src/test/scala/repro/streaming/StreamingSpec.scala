@@ -4,7 +4,7 @@ import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.functions._
 import repro.ReproSpec
 import repro.core._
-import repro.sched.SimClock
+import repro.sched.{EngineScheduler, SimClock}
 
 /** Structured Streaming integration (repro hint): micro-batches feed the
   * DT engine, and Spark's native stateful aggregation with watermarking
@@ -44,6 +44,42 @@ class StreamingSpec extends ReproSpec {
     assert(engine.read("agg").where("k = 'a'").collect().head.getAs[Double]("s") == 4.0)
   }
 
+  test("a DT that fails in a micro-batch is recorded; its sibling keeps refreshing and the query lives (§3.3.3)") {
+    implicit val sqlCtx = spark.sqlContext
+    val clock = new SimClock(1000)
+    val engine = new Engine(spark, clock)
+    engine.createBaseTable("events", Seq(("a", 1.0)).toDF("k", "v"))
+    // division by zero under ANSI once a row with v = 5 arrives; "bad"
+    // comes first in topological order, so it fails before "copy" refreshes
+    engine.createDynamicTable(DtSpec("bad",
+      Project(Scan("events"), Seq("k" -> "k", "boom" -> "cast(v / (v - 5.0) as double)")), LagSeconds(60)))
+    val copy = Filter(Scan("events"), "v > 0")
+    engine.createDynamicTable(DtSpec("copy", copy, LagSeconds(60)))
+
+    val stream = MemoryStream[(String, Double)]
+    val driver = new MicroBatchDriver(engine, clock, "events")
+    // the query's session is cloned at start, so ANSI is set around attach
+    val ansi = spark.conf.get("spark.sql.ansi.enabled")
+    spark.conf.set("spark.sql.ansi.enabled", "true")
+    val query =
+      try driver.attach(stream.toDF().toDF("k", "v"))
+      finally spark.conf.set("spark.sql.ansi.enabled", ansi)
+    try {
+      stream.addData(("x", 5.0))
+      query.processAllAvailable()
+      stream.addData(("y", 2.0))
+      query.processAllAvailable()
+      assert(query.isActive && query.exception.isEmpty)
+    } finally query.stop()
+
+    assert(driver.refreshResults.map(r => (r.dt, r.dataTs)) == Seq(("copy", 1048L), ("copy", 1096L)))
+    assert(driver.failures.map(f => (f.dt, f.dataTs)) == Seq(("bad", 1048L), ("bad", 1096L)))
+    assert(driver.failures.forall(f =>
+      Iterator.iterate[Throwable](f.cause)(_.getCause).takeWhile(_ != null).exists(c =>
+        Option(c.getMessage).exists(_.contains("DIVIDE_BY_ZERO")))))
+    assertSameRows(engine.read("copy"), Eval.snapshot(copy, _ => engine.read("events")))
+  }
+
   test("micro-batches with no data produce NO_DATA refreshes") {
     implicit val sqlCtx = spark.sqlContext
     val clock = new SimClock(1000)
@@ -51,7 +87,7 @@ class StreamingSpec extends ReproSpec {
     engine.createBaseTable("events", Seq(("a", 1.0)).toDF("k", "v"))
     engine.createDynamicTable(DtSpec("copy", Filter(Scan("events"), "v > 0"), LagSeconds(60)))
     clock.advance(48)
-    val r = engine.refreshGraphAt(clock.nowSeconds)
+    val r = new EngineScheduler(engine, clock).refreshAllAt(clock.nowSeconds)
     assert(r.map(_.action) == Seq(NoData))
   }
 
@@ -101,7 +137,7 @@ class StreamingSpec extends ReproSpec {
     clock.advance(48)
     engine.insert("events", Seq(ev("a", 9.0, 1)).toDF()) // event time long past
     clock.advance(48)
-    engine.refreshGraphAt(clock.nowSeconds)
+    new EngineScheduler(engine, clock).refreshAllAt(clock.nowSeconds)
     assert(engine.read("agg").collect().head.getAs[Double]("s") == 10.0)
   }
 }
