@@ -30,6 +30,10 @@ import scala.collection.mutable
   *   2. a change set never has >1 row per ($ROW_ID, $ACTION);
   *   3. a merge must never delete a row that is not present (a guard
   *      inside the plan the merge's checkpoint job runs anyway).
+  *
+  * Retention: after every commit that moves a table or a frontier, the
+  * engine drops the versions no DT can read any more (see [[retain]]), so
+  * the version store is bounded by the slowest reader, not by the run.
   */
 final class Engine(val spark: SparkSession, val clock: Clock) {
   val tm = new TransactionManager(clock)
@@ -42,9 +46,9 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
 
   // ---- base-table DDL/DML (delegated to the transaction manager) ----
   def createBaseTable(name: String, contents: DataFrame): Unit = { tm.createBaseTable(name, contents); () }
-  def dml(name: String, inserts: DataFrame, deletes: DataFrame): Unit = { tm.dml(name, inserts, deletes); () }
+  def dml(name: String, inserts: DataFrame, deletes: DataFrame): Unit = { tm.dml(name, inserts, deletes); retain(name) }
   def insert(name: String, rows: DataFrame): Unit = dml(name, rows, rows.where(lit(false)))
-  def replaceBaseTable(name: String, contents: DataFrame): Unit = { tm.replaceBaseTable(name, contents); () }
+  def replaceBaseTable(name: String, contents: DataFrame): Unit = { tm.replaceBaseTable(name, contents); retain(name) }
 
   // ---- reads ----
   /** Latest persisted contents (what a user query reads; §4's PL-2 path
@@ -56,13 +60,19 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
     Weighted.expand(tm.table(name).latest.snapshot)
   }
 
-  /** Contents at exactly data timestamp `ts` (DT time travel). */
-  def readAt(name: String, ts: Long): DataFrame =
-    Weighted.expand(
-      tm.table(name).versionAtExactly(ts)
-        .getOrElse(throw new NoSuchElementException(s"$name has no version at data timestamp $ts"))
-        .snapshot
-    )
+  /** Contents at exactly data timestamp `ts` (DT time travel). A DT keeps
+    * its versions for at least its resolved target lag (see [[retain]]).
+    */
+  def readAt(name: String, ts: Long): DataFrame = {
+    val vt = tm.table(name)
+    val v = vt.versionAtExactly(ts).getOrElse(throw new NoSuchElementException(
+      vt.earliestDataTs.filter(ts < _) match {
+        case Some(earliest) =>
+          s"$name: data timestamp $ts is outside retention; the earliest retained data timestamp is $earliest"
+        case None => s"$name has no version at data timestamp $ts"
+      }))
+    Weighted.expand(v.snapshot)
+  }
 
   /** The DT's current data timestamp (§3.1.1). */
   def dataTimestamp(name: String): Long =
@@ -84,7 +94,13 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
     if (sync) initialize(spec.name)
   }
 
-  def dropDynamicTable(name: String): Unit = { dtState(name); dts.remove(name); tm.drop(name) }
+  /** Drop a DT; its sources release the versions only it still read. */
+  def dropDynamicTable(name: String): Unit = {
+    val sources = dtState(name).spec.query.sources
+    dts.remove(name)
+    tm.drop(name)
+    sources.foreach(retain)
+  }
 
   def suspend(name: String): Unit = dtState(name).suspended = true
   def resume(name: String): Unit = {
@@ -97,7 +113,8 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
     * else fall back to creation time, refreshing the upstream closure at
     * that timestamp like a manual refresh. The chosen timestamp may be
     * *before* creation time; the paper calls this a small sacrifice for
-    * clean semantics.
+    * clean semantics. Only data timestamps at which every source still
+    * resolves a version qualify (see [[retain]]).
     */
   def initialize(name: String): RefreshResult = {
     val st = dtState(name)
@@ -110,7 +127,8 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
       if (upDts.isEmpty) None
       else {
         val common = upDts.map(u => tm.table(u).allDataTimestamps.toSet).reduceLeft(_ intersect _)
-        val within = common.filter(t => lagOpt.forall(lag => now - t <= lag))
+        val retained = st.spec.query.sources.flatMap(s => tm.table(s).earliestDataTs).maxOption.getOrElse(Long.MinValue)
+        val within = common.filter(t => t >= retained && lagOpt.forall(lag => now - t <= lag))
         if (within.isEmpty) None else Some(within.max)
       }
     val initTs = candidate.getOrElse {
@@ -138,6 +156,7 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
     val rows = pinnedRows(weighted)
     tm.table(name).commit(TableVersion(tm.hlc.now(), initTs, weighted, weighted, rows, 0L))
     st.frontier = Some(Frontier(initTs, resolved.map { case (s, v) => s -> v.lineageEpoch }))
+    retainAround(st)
     RefreshResult(name, FullRefresh, initTs, rows)
   }
 
@@ -184,7 +203,7 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
     val vt = tm.table(name)
     val newEpochs = newV.map { case (s, v) => s -> v.lineageEpoch }
 
-    def advance(): Unit = st.frontier = Some(fr.advance(refreshTs, newEpochs))
+    def advance(): Unit = { st.frontier = Some(fr.advance(refreshTs, newEpochs)); retainAround(st) }
 
     if (changedRows == 0L && !epochChanged) {
       // NO_DATA: metadata-only commit — zero warehouse compute (§5.4).
@@ -225,6 +244,33 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
       vt.commit(TableVersion(tm.hlc.now(), refreshTs, snapshot, delta, deltaRows, vt.latest.lineageEpoch))
       advance()
       RefreshResult(name, action, refreshTs, deltaRows)
+    }
+  }
+
+  /** Retention of a DT and its sources after the DT committed or moved its
+    * frontier.
+    */
+  private def retainAround(st: DtState): Unit = (st.spec.query.sources + st.spec.name).foreach(retain)
+
+  /** Drop the versions of `table` older than its retention floor
+    * ([[repro.txn.VersionedTable.retainFrom]]). The floor is the minimum of
+    *   - the frontier data timestamp of every initialized DT that reads it,
+    *     suspended and failing DTs included, since they resume from there;
+    *   - for a DT, its own data timestamp and now minus its resolved target
+    *     lag, so time travel covers the window its lag promises readers;
+    *   - for a base table, its latest version.
+    * A DT reads a source only over `(frontier, refresh ts]`, so nothing
+    * before the floor is read again: this is trace compaction to a
+    * frontier (Differential Dataflow). Metadata only: no Spark job.
+    */
+  private def retain(table: String): Unit = {
+    val vt = tm.table(table)
+    if (vt.isInitialized) {
+      val readers = dts.values.filter(_.spec.query.sources.contains(table)).flatMap(_.frontier).map(_.dataTs)
+      val own =
+        if (isDt(table)) dataTimestamp(table) +: graph.resolvedLag(table).map(clock.nowSeconds - _).toSeq
+        else Seq(vt.latest.dataTs)
+      vt.retainFrom((readers ++ own).min)
     }
   }
 

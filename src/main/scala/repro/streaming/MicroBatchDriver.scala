@@ -26,6 +26,7 @@ final class MicroBatchDriver(
 ) {
   private val scheduler = new EngineScheduler(engine, clock)
   private val results = mutable.ArrayBuffer.empty[RefreshResult]
+  private var lastBatchId = -1L
 
   /** Refresh outcomes of all micro-batches processed so far. */
   def refreshResults: Seq[RefreshResult] = synchronized(results.toSeq)
@@ -39,17 +40,24 @@ final class MicroBatchDriver(
   def attach(stream: DataFrame): StreamingQuery =
     stream.writeStream
       .outputMode("append")
-      .foreachBatch { (batch: DataFrame, _: Long) =>
-        // Pin the micro-batch contents: the batch plan is only valid
-        // within this callback, but versions must outlive it.
-        val rows: java.util.List[Row] = batch.collectAsList()
-        val pinned = batch.sparkSession.createDataFrame(rows, batch.schema)
-        synchronized {
-          if (!pinned.isEmpty) engine.insert(targetTable, pinned)
-          clock.advance(batchPeriodSeconds)
-          results ++= scheduler.refreshAllAt(clock.nowSeconds)
-        }
-        ()
-      }
+      .foreachBatch((batch: DataFrame, batchId: Long) => commitBatch(batch, batchId))
       .start()
+
+  /** Commit micro-batch `batchId`: insert its rows into `targetTable` (if
+    * any), advance the clock by one batch period and refresh the DT graph
+    * at the new data timestamp. A batch id at or below the last one
+    * committed is a replay (`foreachBatch` delivers at least once) and
+    * changes nothing.
+    */
+  def commitBatch(batch: DataFrame, batchId: Long): Unit = synchronized {
+    if (batchId > lastBatchId) {
+      // Pin the micro-batch contents: the batch plan is only valid within
+      // the callback, but versions must outlive it.
+      val rows: java.util.List[Row] = batch.collectAsList()
+      if (!rows.isEmpty) engine.insert(targetTable, batch.sparkSession.createDataFrame(rows, batch.schema))
+      clock.advance(batchPeriodSeconds)
+      results ++= scheduler.refreshAllAt(clock.nowSeconds)
+      lastBatchId = batchId
+    }
+  }
 }

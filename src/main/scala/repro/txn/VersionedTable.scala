@@ -103,6 +103,29 @@ final class VersionedTable(val name: String) {
       case vs     => Some(Weighted.consolidate(Weighted.union(vs.map(_.delta))))
     }
 
+  /** Drop what no read at or after data timestamp `floor` resolves: every
+    * version older than the one that resolves `floor` (as
+    * [[versionAtOrBefore]] does), and every data-timestamp entry before the
+    * entry that resolves it. Floor and exact lookups at `floor` or later,
+    * and intervals that start there, are unchanged; a floor before the
+    * first entry drops nothing.
+    *
+    * Metadata only: no Spark job, and no `unpersist`, because a caller may
+    * still hold a DataFrame over a dropped version. Spark's ContextCleaner
+    * frees a dropped version's blocks once nothing refers to them.
+    */
+  def retainFrom(floor: Long): Unit = synchronized {
+    byDataTs.rangeTo(floor).lastOption.foreach { case (ts, v) =>
+      byDataTs --= byDataTs.rangeUntil(ts).keys.toList
+      versions.remove(0, versions.indexWhere(_ eq v))
+    }
+  }
+
+  /** The earliest data timestamp a lookup can still resolve (see
+    * [[retainFrom]]); `None` before the first commit.
+    */
+  def earliestDataTs: Option[Long] = synchronized(byDataTs.headOption.map(_._1))
+
   def allDataTimestamps: Seq[Long] = synchronized(byDataTs.keys.toSeq)
   def versionCount: Int = synchronized(versions.size)
 }

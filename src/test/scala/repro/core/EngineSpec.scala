@@ -262,4 +262,62 @@ class EngineSpec extends ReproSpec {
     e.createDynamicTable(DtSpec("agg", aggQuery, LagSeconds(600)))
     assert(e.read("agg").count() == 1)
   }
+  /** One change to `events` and a refresh of `dts` (in order), 100 s later. */
+  private def cycle(e: Engine, clock: repro.sched.SimClock, k: Int, dts: String*): Long = {
+    clock.advance(50); e.insert("events", kv((100 + k, "a", k.toDouble)))
+    clock.advance(50); dts.foreach(e.refresh(_, clock.nowSeconds))
+    clock.nowSeconds
+  }
+
+  test("retention: a read before the DT's retention window fails and names the earliest retained timestamp") {
+    val (e, clock) = newEngine()
+    e.createBaseTable("events", kv((1, "a", 1.0)))
+    e.createDynamicTable(DtSpec("agg", aggQuery, LagSeconds(60)))
+    val t0 = e.dataTimestamp("agg")
+    val before = e.read("agg")
+    val t1 = cycle(e, clock, 1, "agg")
+    val t2 = cycle(e, clock, 2, "agg")
+    // now - lag = t2 - 60 resolves to t1's version: t0's is dropped
+    assert(e.tm.table("agg").versionCount == 2)
+    val ex = intercept[NoSuchElementException](e.readAt("agg", t0))
+    assert(ex.getMessage.contains(s"earliest retained data timestamp is $t1"), ex.getMessage)
+    assert(e.readAt("agg", t1).collect().head.getAs[Long]("n") == 2L)
+    assert(e.readAt("agg", t2).collect().head.getAs[Long]("n") == 3L)
+    // a DataFrame taken before its version was dropped still evaluates
+    System.gc()
+    assert(before.collect().head.getAs[Long]("n") == 1L)
+    // the base table keeps only what its reader's frontier resolves
+    assert(e.tm.table("events").versionCount == 1)
+  }
+
+  test("retention: a suspended downstream DT keeps its sources' versions and refreshes INCREMENTAL after resume") {
+    val (e, clock) = newEngine()
+    e.createBaseTable("events", kv((1, "a", 1.0)))
+    e.createDynamicTable(DtSpec("up", Filter(Scan("events"), "v > 0"), LagSeconds(60)))
+    val down = Aggregate(Scan("up"), Seq("cat"), Seq("s" -> "sum(v)"))
+    e.createDynamicTable(DtSpec("down", down, LagSeconds(60)))
+    val f0 = e.dataTimestamp("down")
+    e.suspend("down")
+    val ts = (1 to 4).map(cycle(e, clock, _, "up"))
+    assert(e.tm.table("up").versionCount == 5)
+    assert(e.tm.table("up").versionAtExactly(f0).isDefined)
+    e.resume("down")
+    assert(e.refresh("down", ts.last).action == IncrementalRefresh)
+    assertSameRows(e.read("down"), Eval.snapshot(down, _ => e.read("up")))
+    // once down has moved on, up keeps only its own lag window
+    cycle(e, clock, 5, "up", "down")
+    assert(e.tm.table("up").versionCount == 2)
+  }
+
+  test("retention: dropping the only downstream DT releases its source's old versions") {
+    val (e, clock) = newEngine()
+    e.createBaseTable("events", kv((1, "a", 1.0)))
+    e.createDynamicTable(DtSpec("up", Filter(Scan("events"), "v > 0"), LagSeconds(60)))
+    e.createDynamicTable(DtSpec("down", Filter(Scan("up"), "v > 0"), LagSeconds(600)))
+    (1 to 3).foreach(cycle(e, clock, _, "up")) // down never refreshes: it pins up's versions
+    assert(e.tm.table("up").versionCount == 4)
+    e.dropDynamicTable("down")
+    assert(e.tm.table("up").versionCount == 2)
+    assertSameRows(e.read("up"), Eval.snapshot(Filter(Scan("events"), "v > 0"), _ => e.read("events")))
+  }
 }

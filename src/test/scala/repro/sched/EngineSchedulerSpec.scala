@@ -73,6 +73,27 @@ class EngineSchedulerSpec extends ReproSpec {
     assert(results.map(r => (r.dt, r.dataTs)) == Seq(("copy", 96L), ("copy", 192L)))
   }
 
+  test("a DT under a failing upstream DT is skipped, not failed or suspended (§3.3.3)") {
+    val (e, clock) = newEngine(start = 0)
+    e.createBaseTable("events", Seq(("a", 1.0)).toDF("k", "v"))
+    e.createDynamicTable(DtSpec("bad",
+      Project(Scan("events"), Seq("k" -> "k", "boom" -> "cast(v / (v - 5.0) as double)")), LagSeconds(96)))
+    e.createDynamicTable(DtSpec("down", Filter(Scan("bad"), "k is not null"), LagSeconds(96)))
+    val sched = new EngineScheduler(e, clock)
+    e.insert("events", Seq(("x", 5.0)).toDF("k", "v"))
+    val ansi = spark.conf.get("spark.sql.ansi.enabled")
+    spark.conf.set("spark.sql.ansi.enabled", "true")
+    val ticks = (1 to DtState.FailureThreshold + 1).map(_ * 96L)
+    val results =
+      try sched.advanceTo(ticks.last)
+      finally spark.conf.set("spark.sql.ansi.enabled", ansi)
+    assert(results.isEmpty)
+    assert(e.dtState("bad").suspended)
+    assert(sched.failures.map(f => (f.dt, f.dataTs)) == ticks.init.map(("bad", _)))
+    assert(!e.dtState("down").suspended && e.dtState("down").consecutiveFailures == 0)
+    assert(sched.skips == ticks.map(RefreshSkip("down", _, "bad")))
+  }
+
   test("the simulator and the engine scheduler pick the same data timestamps (one §5.2 policy)") {
     // events -> a -> b (DOWNSTREAM) -> c, and a -> d; c and d meet in e
     val (e, clock) = newEngine(start = 0)

@@ -80,6 +80,59 @@ class StreamingSpec extends ReproSpec {
     assertSameRows(engine.read("copy"), Eval.snapshot(copy, _ => engine.read("events")))
   }
 
+  test("a replayed micro-batch id is not committed twice") {
+    val clock = new SimClock(1000)
+    val engine = new Engine(spark, clock)
+    engine.createBaseTable("events", Seq(("a", 1.0)).toDF("k", "v"))
+    val q = Aggregate(Scan("events"), Seq("k"), Seq("s" -> "sum(v)"))
+    engine.createDynamicTable(DtSpec("agg", q, LagSeconds(60)))
+    val driver = new MicroBatchDriver(engine, clock, "events")
+    val batch = Seq(("a", 2.0)).toDF("k", "v")
+    def state = (clock.nowSeconds, engine.tm.table("events").allDataTimestamps,
+      engine.tm.table("agg").allDataTimestamps, driver.refreshResults, engine.read("agg").collect().toSeq)
+    driver.commitBatch(batch, 0L)
+    val once = state
+    driver.commitBatch(batch, 0L)
+    assert(state == once)
+    assert(engine.read("agg").collect().head.getAs[Double]("s") == 3.0)
+    driver.commitBatch(batch, 1L)
+    assert(engine.read("agg").collect().head.getAs[Double]("s") == 5.0)
+  }
+
+  test("bounded state: version counts stay flat over 50 micro-batches, and the DTs equal a recompute") {
+    implicit val sqlCtx = spark.sqlContext
+    val clock = new SimClock(1000)
+    val engine = new Engine(spark, clock)
+    engine.createBaseTable("events", Seq.empty[(String, Double)].toDF("k", "v"))
+    val agg = Aggregate(Scan("events"), Seq("k"), Seq("n" -> "count(1)", "s" -> "sum(v)"))
+    engine.createDynamicTable(DtSpec("agg", agg, LagSeconds(60)))
+    val hot = Filter(Scan("agg"), "n >= 3")
+    engine.createDynamicTable(DtSpec("hot", hot, LagSeconds(60)))
+    val tables = Seq("events", "agg", "hot")
+
+    val stream = MemoryStream[(String, Double)]
+    val driver = new MicroBatchDriver(engine, clock, "events")
+    val query = driver.attach(stream.toDF().toDF("k", "v"))
+    val batches = 50
+    val t0 = System.nanoTime()
+    val counts =
+      try (1 to batches).map { b =>
+        stream.addData((s"k${b % 7}", b.toDouble), (s"k${b % 3}", 1.0))
+        query.processAllAvailable()
+        tables.map(engine.tm.table(_).versionCount)
+      } finally query.stop()
+    info(f"$batches micro-batches in ${(System.nanoTime() - t0) / 1e9}%.1f s")
+
+    assert(driver.failures.isEmpty)
+    assert(driver.refreshResults.size == 2 * batches)
+    // A 60 s lag at 48 s batches keeps at most the version that resolves
+    // now - 60, the version in between and the latest; the base table
+    // keeps the one its readers' frontier resolves.
+    counts.foreach(c => assert(c.head == 1 && c.tail.forall(_ <= 3), s"version counts $c"))
+    assertSameRows(engine.read("agg"), Eval.snapshot(agg, _ => engine.read("events")))
+    assertSameRows(engine.read("hot"), Eval.snapshot(hot, _ => Eval.snapshot(agg, _ => engine.read("events"))))
+  }
+
   test("micro-batches with no data produce NO_DATA refreshes") {
     implicit val sqlCtx = spark.sqlContext
     val clock = new SimClock(1000)

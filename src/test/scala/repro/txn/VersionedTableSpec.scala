@@ -4,7 +4,7 @@ import repro.ReproSpec
 import repro.core.Weighted
 
 /** Version store semantics (§5.3): floor vs exact resolution, aliases for
-  * NO_DATA, interval deltas, metadata-only change counts.
+  * NO_DATA, interval deltas, metadata-only change counts, retention.
   */
 class VersionedTableSpec extends ReproSpec {
   private lazy val testImplicits = spark.implicits
@@ -82,5 +82,38 @@ class VersionedTableSpec extends ReproSpec {
     val stored = vt.versionAtExactly(20).get.delta
     assert(vt.deltaBetween(10, 20).exists(_ eq stored), "no second consolidation of a stored delta")
     assert(vt.deltaBetween(15, 25).exists(_ eq stored))
+  }
+
+  test("retainFrom a floor on an alias keeps that entry and the version it maps to") {
+    val vt = table3
+    vt.alias(35)
+    vt.commit(mkVersion(40, 0, "d" -> 1L))
+    vt.retainFrom(37)
+    assert(vt.allDataTimestamps == Seq(35L, 40L))
+    assert(vt.versionCount == 2)
+    assert(vt.earliestDataTs == Some(35L))
+    assert(vt.versionAtExactly(35).map(_.dataTs) == Some(30L))
+    assert(vt.versionAtOrBefore(37).map(_.dataTs) == Some(30L))
+    assert(vt.versionAtExactly(30).isEmpty && vt.versionAtOrBefore(34).isEmpty)
+    assert(vt.versionsBetween(35, 40).map(_.dataTs) == Seq(40L))
+  }
+
+  test("retainFrom a base-table floor keeps the version that resolves it and all later ones") {
+    val vt = table3
+    vt.retainFrom(25)
+    assert(vt.allDataTimestamps == Seq(20L, 30L))
+    assert(vt.versionAtOrBefore(25).map(_.dataTs) == Some(20L))
+    assert(vt.changedRowsBetween(25, 30) == 1L)
+    vt.retainFrom(30) // the latest version
+    assert(vt.versionCount == 1 && vt.latest.dataTs == 30L)
+    assert(vt.versionAtOrBefore(100).map(_.dataTs) == Some(30L))
+  }
+
+  test("retainFrom a floor before the first version drops nothing") {
+    val vt = table3
+    vt.retainFrom(5)
+    assert(vt.versionCount == 3)
+    assert(vt.allDataTimestamps == Seq(10L, 20L, 30L))
+    assert(vt.earliestDataTs == Some(10L))
   }
 }
