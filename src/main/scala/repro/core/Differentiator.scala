@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import Weighted.W
 
@@ -95,32 +95,18 @@ object Differentiator {
     case Aggregate(c, groupBy, aggs) =>
       require(groupBy.nonEmpty,
         "scalar aggregates are not incrementally supported (§3.3.2); use FULL refresh mode")
-      val dc = delta(c, bind)
-      val keys = affectedKeys(Seq(dc.select(groupBy.map(col): _*)))
-      val (oldR, newR) = restrictedPair(c, bind, groupBy, keys, dc)
-      def agg(in: DataFrame): DataFrame = {
+      recomputeAffected(c, bind, delta(c, bind), groupBy) { in =>
         val aggCols = aggs.map { case (a, e) => expr(e).as(a) }
         in.groupBy(groupBy.map(col): _*).agg(aggCols.head, aggCols.tail: _*)
       }
-      Weighted.consolidate(
-        Weighted.negate(Weighted.fromSnapshot(agg(oldR))).unionByName(Weighted.fromSnapshot(agg(newR))))
 
     case Distinct(c) =>
       val dc = delta(c, bind)
-      val cols = Weighted.dataCols(dc)
-      val keys = affectedKeys(Seq(dc.select(cols.map(col): _*)))
-      val (oldR, newR) = restrictedPair(c, bind, cols, keys, dc)
-      Weighted.consolidate(
-        Weighted.negate(Weighted.fromSnapshot(oldR.distinct()))
-          .unionByName(Weighted.fromSnapshot(newR.distinct())))
+      recomputeAffected(c, bind, dc, Weighted.dataCols(dc))(_.distinct())
 
     case WindowOp(c, partitionBy, selects) =>
-      val dc = delta(c, bind)
-      val keys = affectedKeys(Seq(dc.select(partitionBy.map(col): _*)))
-      val (oldR, newR) = restrictedPair(c, bind, partitionBy, keys, dc)
-      def win(in: DataFrame): DataFrame = in.selectExpr(selects.map { case (a, e) => s"$e AS $a" }: _*)
-      Weighted.consolidate(
-        Weighted.negate(Weighted.fromSnapshot(win(oldR))).unionByName(Weighted.fromSnapshot(win(newR))))
+      recomputeAffected(c, bind, delta(c, bind), partitionBy)(
+        _.selectExpr(selects.map { case (a, e) => s"$e AS $a" }: _*))
   }
 
   /** Evaluate `q` against the old / new endpoint of the interval. */
@@ -137,6 +123,18 @@ object Differentiator {
       df.toDF(df.columns.indices.map(i => s"k$i"): _*)
     }
     renamed.reduceLeft(_.unionByName(_)).distinct().localCheckpoint(true)
+  }
+
+  /** Affected-key recomputation of the keyed operator `op` (aggregate,
+    * distinct, window) over child `c` with delta `dc`: `op` over the old and
+    * the new child rows of the keys in `dc`, as `−op(old) + op(new)`.
+    */
+  private def recomputeAffected(c: DtQuery, bind: String => SourceState, dc: DataFrame, keyCols: Seq[String])(
+      op: DataFrame => DataFrame): DataFrame = {
+    val keys = affectedKeys(Seq(dc.select(keyCols.map(col): _*)))
+    val (oldR, newR) = restrictedPair(c, bind, keyCols, keys, dc)
+    Weighted.consolidate(
+      Weighted.negate(Weighted.fromSnapshot(op(oldR))).unionByName(Weighted.fromSnapshot(op(newR))))
   }
 
   /** Restricted (old, new) plain snapshots of `c` for the affected keys.

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.lit
 import repro.sched.Clock
 import repro.txn.{Frontier, TableVersion, TransactionManager}
-import repro.txn.TransactionManager.{pin, pinNonNegative, pinnedRows}
+import repro.txn.TransactionManager.pin
 import scala.collection.mutable
 
 /** The dynamic-table engine (§5): catalog + transaction manager + refresh
@@ -31,6 +31,10 @@ import scala.collection.mutable
   *   3. a merge must never delete a row that is not present (a guard
   *      inside the plan the merge's checkpoint job runs anyway).
   *
+  * Every version is built and committed by the transaction manager: a
+  * refresh hands it plain rows to overwrite (initialization, FULL,
+  * REINITIALIZE) or a pinned change set to merge (INCREMENTAL).
+  *
   * Retention: after every commit that moves a table or a frontier, the
   * engine drops the versions no DT can read any more (see [[retain]]), so
   * the version store is bounded by the slowest reader, not by the run.
@@ -46,9 +50,21 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
 
   // ---- base-table DDL/DML (delegated to the transaction manager) ----
   def createBaseTable(name: String, contents: DataFrame): Unit = { tm.createBaseTable(name, contents); () }
-  def dml(name: String, inserts: DataFrame, deletes: DataFrame): Unit = { tm.dml(name, inserts, deletes); retain(name) }
+  def dml(name: String, inserts: DataFrame, deletes: DataFrame): Unit = {
+    tm.dml(baseTable(name), inserts, deletes); retain(name)
+  }
   def insert(name: String, rows: DataFrame): Unit = dml(name, rows, rows.where(lit(false)))
-  def replaceBaseTable(name: String, contents: DataFrame): Unit = { tm.replaceBaseTable(name, contents); retain(name) }
+  def replaceBaseTable(name: String, contents: DataFrame): Unit = {
+    tm.replaceBaseTable(baseTable(name), contents); retain(name)
+  }
+
+  /** `name`, which must not be a DT: only its refreshes write a DT, and a
+    * version committed behind its frontier would corrupt the next merge.
+    */
+  private def baseTable(name: String): String = {
+    require(!isDt(name), s"$name is a dynamic table: only its refreshes write it")
+    name
+  }
 
   // ---- reads ----
   /** Latest persisted contents (what a user query reads; §4's PL-2 path
@@ -57,7 +73,7 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
   def read(name: String): DataFrame = {
     if (isDt(name))
       require(dtState(name).isInitialized, s"dynamic table $name has not been initialized (§3.1)")
-    Weighted.expand(tm.table(name).latest.snapshot)
+    tm.table(name).latest.rows
   }
 
   /** Contents at exactly data timestamp `ts` (DT time travel). A DT keeps
@@ -71,7 +87,7 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
           s"$name: data timestamp $ts is outside retention; the earliest retained data timestamp is $earliest"
         case None => s"$name has no version at data timestamp $ts"
       }))
-    Weighted.expand(v.snapshot)
+    v.rows
   }
 
   /** The DT's current data timestamp (§3.1.1). */
@@ -81,17 +97,20 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
   // ---- DT DDL ----
   /** Create a dynamic table; with `sync = true` also initialize it now
     * (§3.1: initialization can be synchronous or deferred to the
-    * scheduler).
+    * scheduler). A synchronous create whose initialization fails is undone
+    * and rethrows, like Snowflake's `INITIALIZE = ON_CREATE`; upstream DTs
+    * it already refreshed keep their new versions.
     */
   def createDynamicTable(spec: DtSpec, sync: Boolean = true): Unit = {
     spec.query.sources.foreach { s =>
       require(tm.contains(s), s"source $s of ${spec.name} does not exist")
     }
-    require(!tm.contains(spec.name), s"table ${spec.name} already exists")
-    dts(spec.name) = new DtState(spec)
     tm.register(spec.name)
+    dts(spec.name) = new DtState(spec)
     graph.topoOrder // validates acyclicity eagerly
-    if (sync) initialize(spec.name)
+    if (sync)
+      try initialize(spec.name)
+      catch { case e: Throwable => dropDynamicTable(spec.name); throw e }
   }
 
   /** Drop a DT; its sources release the versions only it still read. */
@@ -151,13 +170,10 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
     val st = dtState(name)
     val srcs = st.spec.query.sources.toSeq.sorted
     val resolved = srcs.map(s => s -> resolveVersion(s, initTs)).toMap
-    val snapPlain = Eval.snapshot(st.spec.query, s => Weighted.expand(resolved(s).snapshot))
-    val weighted = pin(Weighted.consolidate(Weighted.fromSnapshot(snapPlain)))
-    val rows = pinnedRows(weighted)
-    tm.table(name).commit(TableVersion(tm.hlc.now(), initTs, weighted, weighted, rows, 0L))
+    val committed = tm.overwrite(name, initTs, Eval.snapshot(st.spec.query, resolved(_).rows), lineageEpoch = 0L)
     st.frontier = Some(Frontier(initTs, resolved.map { case (s, v) => s -> v.lineageEpoch }))
     retainAround(st)
-    RefreshResult(name, FullRefresh, initTs, rows)
+    RefreshResult(name, FullRefresh, initTs, committed.deltaRows)
   }
 
   /** Resolve the version of source `s` visible at data timestamp `ts`:
@@ -216,12 +232,11 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
         case IncrementalMode if epochChanged => Reinitialize
         case IncrementalMode                 => IncrementalRefresh
       }
-      val prevStored = vt.latest.snapshot
-      val (snapshot, delta) = action match {
+      val v = action match {
         case IncrementalRefresh =>
           val bind: String => SourceState = s => SourceState(
-            old = Weighted.expand(oldV(s).snapshot),
-            neu = Weighted.expand(newV(s).snapshot),
+            old = oldV(s).rows,
+            neu = newV(s).rows,
             delta = tm.table(s).deltaBetween(fr.dataTs, refreshTs)
               .getOrElse(newV(s).snapshot.where(lit(false))),
           )
@@ -230,20 +245,14 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
           require(dupes.isEmpty,
             s"$name: change set has ${dupes.size} duplicate ($$ROW_ID, $$ACTION) pair(s), " +
               s"e.g. ${dupes.head} (§6.1 validation)")
-          val merged = pinNonNegative(Weighted.consolidate(prevStored.unionByName(d)),
+          tm.applyDelta(name, refreshTs, d,
             s"$name: refresh deletes row group(s) not present in the DT (§6.1 validation)")
-          (merged, d)
-        case _ => // FULL or REINITIALIZE: recompute from the new snapshots.
-          val plain = Eval.snapshot(st.spec.query, s => Weighted.expand(newV(s).snapshot))
-          val snap = pin(Weighted.consolidate(Weighted.fromSnapshot(plain)))
-          // Emit a correct delta anyway so downstream incremental DTs keep working.
-          val d = pin(Weighted.consolidate(snap.unionByName(Weighted.negate(prevStored))))
-          (snap, d)
+        case _ => // FULL or REINITIALIZE: recompute from the new snapshots; the
+          // stored delta keeps downstream incremental DTs working.
+          tm.overwrite(name, refreshTs, Eval.snapshot(st.spec.query, newV(_).rows), vt.latest.lineageEpoch)
       }
-      val deltaRows = pinnedRows(delta)
-      vt.commit(TableVersion(tm.hlc.now(), refreshTs, snapshot, delta, deltaRows, vt.latest.lineageEpoch))
       advance()
-      RefreshResult(name, action, refreshTs, deltaRows)
+      RefreshResult(name, action, refreshTs, v.deltaRows)
     }
   }
 

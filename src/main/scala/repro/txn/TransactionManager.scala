@@ -8,16 +8,19 @@ import scala.collection.mutable
 /** A minimal transaction engine over the versioned catalog (§5.3).
   *
   * Responsibilities mirrored from the paper: HLC-stamped, totally ordered
-  * commits; per-table locks so a DT is never refreshed concurrently;
-  * version creation for DML on base tables; and enforcement that a base
-  * DML never deletes a row that is not present.
+  * commits; per-table locks so a DT is never refreshed concurrently; and
+  * the one commit path of every table version. A base-table create, DML or
+  * replace and a DT refresh all end in [[overwrite]] (INSERT OVERWRITE) or
+  * [[applyDelta]] (merge of a change set, which never deletes a row that is
+  * not present, §6.1); both commit through one private `commit`. Their
+  * callers hold the table's [[withLock]].
   *
   * Snapshots are weighted DataFrames that are `localCheckpoint`ed on
   * commit, both to cut lineage across many versions and to make the
   * version immutable w.r.t. later source mutation.
   */
 final class TransactionManager(clock: Clock) {
-  import TransactionManager.{pin, pinNonNegative, pinnedRows}
+  import TransactionManager.pin
 
   val hlc = new HlcClock(() => clock.nowSeconds)
   private val catalog = mutable.LinkedHashMap.empty[String, VersionedTable]
@@ -35,28 +38,25 @@ final class TransactionManager(clock: Clock) {
     */
   def withLock[A](name: String)(body: => A): A = lockFor(name).synchronized(body)
 
-  /** Register a table whose versions are managed externally (DTs). */
-  def register(name: String): VersionedTable = synchronized {
+  /** Register a table with no versions yet; its first version is an
+    * [[overwrite]] (a DT's at initialization).
+    */
+  def register(name: String): Unit = synchronized {
     require(!catalog.contains(name), s"table $name already exists")
-    val vt = new VersionedTable(name)
-    catalog(name) = vt
-    vt
+    catalog(name) = new VersionedTable(name)
   }
 
   def drop(name: String): Unit = synchronized {
     catalog.remove(name).getOrElse(throw new NoSuchElementException(s"unknown table $name"))
   }
 
-  /** Create a base table with plain-rows `initial` contents. */
+  /** Create a base table with plain-rows `initial` contents. A create
+    * whose contents fail to evaluate leaves no table behind.
+    */
   def createBaseTable(name: String, initial: DataFrame): TableVersion = withLock(name) {
-    val vt = synchronized {
-      require(!catalog.contains(name), s"table $name already exists")
-      val t = new VersionedTable(name); catalog(name) = t; t
-    }
-    val snap = pin(Weighted.consolidate(Weighted.fromSnapshot(initial)))
-    val v = TableVersion(hlc.now(), clock.nowSeconds, snap, snap, pinnedRows(snap), lineageEpoch = 0L)
-    vt.commit(v)
-    v
+    register(name)
+    try overwrite(name, clock.nowSeconds, initial, lineageEpoch = 0L)
+    catch { case e: Throwable => drop(name); throw e }
   }
 
   /** Insert/delete DML on a base table; commits one new version.
@@ -64,18 +64,13 @@ final class TransactionManager(clock: Clock) {
     */
   def dml(name: String, inserts: DataFrame, deletes: DataFrame): TableVersion = withLock(name) {
     val vt = table(name)
-    val prev = vt.latest
     // Pin the change set FIRST: caller-provided plans (e.g. a sampled
     // delete set) may be nondeterministic across evaluations, and the
     // snapshot and the delta must be derived from one consistent read.
     val d = pin(Weighted.consolidate(
       Weighted.fromSnapshot(inserts).unionByName(Weighted.negate(Weighted.fromSnapshot(deletes)))
     ))
-    val snap = pinNonNegative(Weighted.consolidate(prev.snapshot.unionByName(d)),
-      s"$name: DML deletes row group(s) not present in the table")
-    val v = TableVersion(hlc.now(), nextDataTs(vt), snap, d, pinnedRows(d), prev.lineageEpoch)
-    vt.commit(v)
-    v
+    applyDelta(name, nextDataTs(vt), d, s"$name: DML deletes row group(s) not present in the table")
   }
 
   /** Replace a base table wholesale (CREATE OR REPLACE). Bumps the lineage
@@ -84,10 +79,49 @@ final class TransactionManager(clock: Clock) {
     */
   def replaceBaseTable(name: String, contents: DataFrame): TableVersion = withLock(name) {
     val vt = table(name)
+    overwrite(name, nextDataTs(vt), contents, vt.latest.lineageEpoch + 1)
+  }
+
+  /** INSERT OVERWRITE: commit plain `rows` as the contents of `name` at
+    * `dataTs`. The stored delta is the change from the previous version; a
+    * first version's delta is its snapshot, at no extra job.
+    */
+  def overwrite(name: String, dataTs: => Long, rows: DataFrame, lineageEpoch: Long): TableVersion = {
+    val vt = table(name)
+    val snap = pin(Weighted.consolidate(Weighted.fromSnapshot(rows)))
+    val delta =
+      if (vt.isInitialized) pin(Weighted.consolidate(snap.unionByName(Weighted.negate(vt.latest.snapshot))))
+      else snap
+    commit(vt, dataTs, snap, delta, lineageEpoch)
+  }
+
+  /** Merge the [[pin]]ned weighted `delta` into the contents of `name` and
+    * commit the result at `dataTs`. A merge that leaves a negative weight
+    * deletes a row that is not present (§6.1) and fails with
+    * `IllegalArgumentException(message)`; the check runs inside the
+    * checkpoint job, not as a query over its result.
+    */
+  def applyDelta(name: String, dataTs: => Long, delta: DataFrame, message: => String): TableVersion = {
+    val vt = table(name)
     val prev = vt.latest
-    val snap = pin(Weighted.consolidate(Weighted.fromSnapshot(contents)))
-    val delta = pin(Weighted.consolidate(snap.unionByName(Weighted.negate(prev.snapshot))))
-    val v = TableVersion(hlc.now(), nextDataTs(vt), snap, delta, pinnedRows(delta), prev.lineageEpoch + 1)
+    val snap =
+      try pin(Weighted.nonNegative(Weighted.consolidate(prev.snapshot.unionByName(delta))))
+      catch {
+        case e: Exception if Weighted.isNegativeWeightFailure(e) => throw new IllegalArgumentException(message, e)
+      }
+    commit(vt, dataTs, snap, delta, prev.lineageEpoch)
+  }
+
+  /** Count the delta's rows in one Spark job over its pinned blocks
+    * (`Dataset.count` plans a global aggregate: two jobs under adaptive
+    * query execution), stamp the HLC and append the version. `dataTs` is
+    * evaluated here, after the pins, so a base table's [[nextDataTs]] is
+    * taken in the second it commits.
+    */
+  private def commit(vt: VersionedTable, dataTs: => Long, snapshot: DataFrame, delta: DataFrame,
+      lineageEpoch: Long): TableVersion = {
+    val deltaRows = delta.queryExecution.toRdd.count()
+    val v = TableVersion(hlc.now(), dataTs, snapshot, delta, deltaRows, lineageEpoch)
     vt.commit(v)
     v
   }
@@ -111,18 +145,4 @@ object TransactionManager {
     * plan again and keeps more blocks.
     */
   def pin(df: DataFrame): DataFrame = df.localCheckpoint(true)
-
-  /** [[pin]] a merge result, failing with `IllegalArgumentException(message)`
-    * if a weight is negative: a delete of a row that is not present (§6.1).
-    * The check runs inside the checkpoint job, not as a query over its result.
-    */
-  def pinNonNegative(merged: DataFrame, message: => String): DataFrame =
-    try pin(Weighted.nonNegative(merged))
-    catch { case e: Exception if Weighted.isNegativeWeightFailure(e) => throw new IllegalArgumentException(message, e) }
-
-  /** Row count of a [[pin]]ned DataFrame in one Spark job over its blocks.
-    * (`Dataset.count` plans a global aggregate: two jobs under adaptive
-    * query execution.)
-    */
-  def pinnedRows(pinned: DataFrame): Long = pinned.queryExecution.toRdd.count()
 }

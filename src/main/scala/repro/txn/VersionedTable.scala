@@ -26,7 +26,11 @@ final case class TableVersion(
     delta: DataFrame,
     deltaRows: Long,
     lineageEpoch: Long,
-)
+) {
+
+  /** The plain rows of this version: the snapshot expanded by weight. */
+  def rows: DataFrame = Weighted.expand(snapshot)
+}
 
 /** A table with time travel: an ordered list of [[TableVersion]]s plus an
   * exact data-timestamp index.

@@ -181,6 +181,40 @@ class EngineSpec extends ReproSpec {
     } finally spark.conf.set("spark.sql.ansi.enabled", ansi)
   }
 
+  test("DML and replace on a dynamic table are rejected and leave it equal to its query") {
+    val (e, clock) = newEngine()
+    e.createBaseTable("events", kv((1, "a", 1.0), (2, "b", 2.0)))
+    e.createDynamicTable(DtSpec("agg", aggQuery, LagSeconds(600)))
+    val row = Seq(("z", 1L, 1.0)).toDF("cat", "n", "s")
+    clock.advance(5)
+    intercept[IllegalArgumentException](e.dml("agg", row, row.where("false")))
+    intercept[IllegalArgumentException](e.insert("agg", row))
+    intercept[IllegalArgumentException](e.replaceBaseTable("agg", row))
+    assert(e.tm.table("agg").versionCount == 1)
+    e.insert("events", kv((3, "a", 5.0)))
+    clock.advance(5)
+    assert(e.refresh("agg", clock.nowSeconds).action == IncrementalRefresh)
+    assertSameRows(e.read("agg"), Eval.snapshot(aggQuery, _ => e.read("events")))
+  }
+
+  test("a synchronous create whose initialization fails leaves no DT behind") {
+    val (e, clock) = newEngine()
+    e.createBaseTable("events", kv((1, "a", 1.0), (5, "x", 5.0)))
+    e.createDynamicTable(DtSpec("up", Filter(Scan("events"), "v > 0"), LagSeconds(600)))
+    val upTs0 = e.dataTimestamp("up")
+    clock.advance(100_000) // beyond the lag: the create refreshes up first
+    val bad = Project(Scan("up"), Seq("k" -> "k", "r" -> "cast(v / (v - 5.0) as double)"))
+    val ansi = spark.conf.get("spark.sql.ansi.enabled")
+    spark.conf.set("spark.sql.ansi.enabled", "true")
+    try intercept[Exception](e.createDynamicTable(DtSpec("ratio", bad, LagSeconds(600))))
+    finally spark.conf.set("spark.sql.ansi.enabled", ansi)
+    assert(!e.isDt("ratio") && !e.tm.contains("ratio"))
+    assert(e.dataTimestamp("up") > upTs0, "upstream keeps the refresh the failed create ran")
+    val good = Project(Scan("up"), Seq("k" -> "k", "r" -> "cast(v / (v - 6.0) as double)"))
+    e.createDynamicTable(DtSpec("ratio", good, LagSeconds(600)))
+    assertSameRows(e.read("ratio"), Eval.snapshot(good, _ => e.read("up")))
+  }
+
   test("deleting rows not present in a base table is rejected") {
     val (e, _) = newEngine()
     e.createBaseTable("events", kv((1, "a", 1.0)))

@@ -48,6 +48,26 @@ class JobBudgetSpec extends ReproSpec {
       Eval.snapshot(Aggregate(Scan("events"), Seq("cat"), Seq("n" -> "count(1)", "s" -> "sum(v)")),
         _ => e.read("events")))
   }
+
+  test("Spark jobs per base-table create and replace, initialization and REINITIALIZE stay within budget") {
+    val (e, clock) = newEngine()
+    val aggQuery = Aggregate(Scan("events"), Seq("cat"), Seq("n" -> "count(1)", "s" -> "sum(v)"))
+    val create = counter.jobsOf(e.createBaseTable("events", kv((1, "a", 1L), (2, "b", 2L), (3, "a", 3L))))
+    val init = counter.jobsOf(e.createDynamicTable(DtSpec("agg", aggQuery, LagSeconds(600))))
+    clock.advance(10)
+    val replace = counter.jobsOf(e.replaceBaseTable("events", kv((4, "c", 4L), (3, "a", 3L))))
+    clock.advance(10)
+    var action: RefreshAction = NoData
+    val reinit = counter.jobsOf { action = e.refresh("agg", clock.nowSeconds).action }
+
+    val budget = Map("create" -> 3, "init" -> 3, "replace" -> 5, "reinit" -> 5)
+    val got = Map("create" -> create, "init" -> init, "replace" -> replace, "reinit" -> reinit)
+    info(s"Spark jobs per call: $got")
+    budget.foreach { case (call, b) => assert(got(call) <= b, s"$call ran ${got(call)} jobs (budget $b): $got") }
+    assert(got.values.forall(_ > 0), s"the listener saw no jobs: $got")
+    assert(action == Reinitialize)
+    assertSameRows(e.read("agg"), Eval.snapshot(aggQuery, _ => e.read("events")))
+  }
 }
 
 /** Counts the Spark jobs a call submits. Listener events arrive

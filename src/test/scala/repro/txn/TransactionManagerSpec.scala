@@ -27,6 +27,16 @@ class TransactionManagerSpec extends ReproSpec {
     intercept[IllegalArgumentException](tm.createBaseTable("t", Seq(("a", 1)).toDF("k", "v")))
   }
 
+  test("a create whose contents fail to evaluate leaves no table behind") {
+    val (tm, _) = mk()
+    val ansi = spark.conf.get("spark.sql.ansi.enabled")
+    spark.conf.set("spark.sql.ansi.enabled", "true")
+    try intercept[Exception](tm.createBaseTable("t", Seq(("a", 0)).toDF("k", "v").selectExpr("k", "1 / v AS v")))
+    finally spark.conf.set("spark.sql.ansi.enabled", ansi)
+    assert(!tm.contains("t"))
+    assert(tm.createBaseTable("t", Seq(("a", 1)).toDF("k", "v")).deltaRows == 1)
+  }
+
   test("dml commits a consolidated delta and new snapshot") {
     val (tm, clock) = mk()
     tm.createBaseTable("t", Seq(("a", 1), ("b", 2)).toDF("k", "v"))
