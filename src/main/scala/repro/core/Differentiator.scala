@@ -1,14 +1,17 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{ArrayType, MapType, StructType}
 import Weighted.W
 
 /** The per-source state a delta query reads (§5.4): the source's contents
   * at the refresh interval's two endpoints, plus the weighted change.
   * `old`/`neu` are plain (expanded) DataFrames; `delta` is weighted.
+  * `changedRows` is the change's row count from version metadata;
+  * `Long.MaxValue` when it is not known.
   */
-final case class SourceState(old: DataFrame, neu: DataFrame, delta: DataFrame)
+final case class SourceState(old: DataFrame, neu: DataFrame, delta: DataFrame, changedRows: Long = Long.MaxValue)
 
 /** Query differentiation (§5.5): rewrite a defining query `Q` into `Δ_I Q`,
   * the weighted change of its result over a data-timestamp interval `I`.
@@ -54,43 +57,33 @@ object Differentiator {
       Weighted.consolidate(d.select(cols: _*))
 
     case Join(l, r, lk, rk, "inner") =>
-      val dl = delta(l, bind)
-      val dr = delta(r, bind)
+      // A delta whose sources changed at most `SmallChange` rows is
+      // broadcast, so each bilinear term is one pass over the snapshot
+      // side; a larger one joins plainly, and Spark sizes the join.
+      def broadcastIfSmall(side: DtQuery, d: DataFrame): DataFrame = {
+        val changed = side.sources.toSeq.map(bind(_).changedRows)
+        if (changed.forall(_ <= SmallChange) && changed.sum <= SmallChange) broadcast(d) else d
+      }
+      val dl = broadcastIfSmall(l, delta(l, bind))
+      val dr = broadcastIfSmall(r, delta(r, bind))
       val rOld = oldSnap(r, bind)
       val lNew = newSnap(l, bind)
-      // Deltas are small relative to snapshots: broadcast them so each
-      // bilinear term is one pass over the snapshot side, not a shuffle.
       // ΔL ⋈ R₀ : weights come from ΔL (R₀ rows each count once).
-      val part1 = {
-        val dlB = broadcast(dl)
-        val cond = lk.zip(rk).map { case (a, b) => dlB(a) === rOld(b) }.reduce(_ && _)
-        dlB.join(rOld, cond, "inner")
-      }
+      val part1 = dl.join(rOld, lk.zip(rk).map { case (a, b) => dl(a) === rOld(b) }.reduce(_ && _), "inner")
       // L₁ ⋈ ΔR : weights come from ΔR.
-      val part2 = {
-        val drB = broadcast(dr)
-        val cond = lk.zip(rk).map { case (a, b) => lNew(a) === drB(b) }.reduce(_ && _)
-        lNew.join(drB, cond, "inner")
-      }
+      val part2 = lNew.join(dr, lk.zip(rk).map { case (a, b) => lNew(a) === dr(b) }.reduce(_ && _), "inner")
       Weighted.consolidate(part1.unionByName(part2))
 
     case Join(l, r, lk, rk, joinType) => // left / right / full outer
-      val dl = delta(l, bind)
-      val dr = delta(r, bind)
-      val keys = affectedKeys(Seq(dl.select(lk.map(col): _*), dr.select(rk.map(col): _*)))
       // An output row for key tuple k depends only on input rows with key
       // k on either side, so restricting both *inputs* to the affected
-      // keys and re-joining equals restricting the output — and is far
-      // cheaper: each side is one pass with a broadcast semi-join.
-      val (lOld, lNew) = restrictedPair(l, bind, lk, keys, dl)
-      val (rOld, rNew) = restrictedPair(r, bind, rk, keys, dr)
-      def joined(a: DataFrame, b: DataFrame): DataFrame = {
-        val cond = lk.zip(rk).map { case (x, y) => a(x) === b(y) }.reduce(_ && _)
-        a.join(b, cond, joinType)
+      // keys and re-joining equals restricting the output.
+      val restrict = affectedKeys(Seq(delta(l, bind).select(lk.map(col): _*), delta(r, bind).select(rk.map(col): _*)))
+      def joined(snap: DtQuery => DataFrame): DataFrame = {
+        val (a, b) = (restrict(snap(l), lk), restrict(snap(r), rk))
+        a.join(b, lk.zip(rk).map { case (x, y) => a(x) === b(y) }.reduce(_ && _), joinType)
       }
-      Weighted.consolidate(
-        Weighted.negate(Weighted.fromSnapshot(joined(lOld, rOld)))
-          .unionByName(Weighted.fromSnapshot(joined(lNew, rNew))))
+      recomputed(joined(oldSnap(_, bind)), joined(newSnap(_, bind)))
 
     case Aggregate(c, groupBy, aggs) =>
       require(groupBy.nonEmpty,
@@ -115,47 +108,51 @@ object Differentiator {
   def newSnap(q: DtQuery, bind: String => SourceState): DataFrame =
     Eval.snapshot(q, bind(_).neu)
 
-  /** Distinct key tuples present in any of `deltaKeyProjections`,
-    * canonically named k0..k{n-1}.
+  /** T: the most delta key rows [[affectedKeys]] restricts with literals,
+    * and the most changed source rows whose deltas the inner-join rule
+    * broadcasts. Sized from the T2 sweep (EXPERIMENTS.md). Above it a
+    * restriction is a plain semi-join and a join delta is not broadcast.
     */
-  private def affectedKeys(deltaKeyProjections: Seq[DataFrame]): DataFrame = {
-    val renamed = deltaKeyProjections.map { df =>
-      df.toDF(df.columns.indices.map(i => s"k$i"): _*)
+  val SmallChange = 10000
+
+  /** The affected-key restriction of one refresh: `restrict(df, keyCols)`
+    * keeps the rows of `df` whose tuple in `keyCols` is the key of some
+    * row of `deltaKeys` (key projections of deltas, aligned by position).
+    * The keys are collected once, bounded by `SmallChange + 1` rows (one
+    * job for a pinned delta). Up to `SmallChange` rows, the restriction is
+    * a null-safe filter over literals ([[Weighted.keyIn]]): no join, no
+    * broadcast, no checkpoint. Above it, or for keys of nested types, it
+    * is a semi-join against the distinct delta keys, which Spark plans by
+    * their size.
+    */
+  private def affectedKeys(deltaKeys: Seq[DataFrame]): (DataFrame, Seq[String]) => DataFrame = {
+    val keys = deltaKeys.map(df => df.toDF(df.columns.indices.map(i => s"k$i"): _*)).reduceLeft(_.unionByName(_))
+    val types = keys.schema.map(_.dataType)
+    val atomic = types.forall {
+      case _: ArrayType | _: MapType | _: StructType => false
+      case _                                         => true
     }
-    renamed.reduceLeft(_.unionByName(_)).distinct().localCheckpoint(true)
+    val rows = if (atomic) keys.coalesce(1).limit(SmallChange + 1).collect() else Array.empty[Row]
+    if (atomic && rows.length <= SmallChange) {
+      val tuples = rows.toSeq.map(_.toSeq).distinct
+      (df, keyCols) => df.where(Weighted.keyIn(keyCols.map(df(_)), types, tuples))
+    } else
+      (df, keyCols) => Weighted.semiJoinOnKeys(df, keyCols.map(col), keys.distinct())
   }
 
   /** Affected-key recomputation of the keyed operator `op` (aggregate,
     * distinct, window) over child `c` with delta `dc`: `op` over the old and
-    * the new child rows of the keys in `dc`, as `−op(old) + op(new)`.
+    * the new child rows of the keys in `dc`, as `−op(old) + op(new)`. Both
+    * sides are evaluated from the interval's own source snapshots, never
+    * from the DT's stored state.
     */
   private def recomputeAffected(c: DtQuery, bind: String => SourceState, dc: DataFrame, keyCols: Seq[String])(
       op: DataFrame => DataFrame): DataFrame = {
-    val keys = affectedKeys(Seq(dc.select(keyCols.map(col): _*)))
-    val (oldR, newR) = restrictedPair(c, bind, keyCols, keys, dc)
-    Weighted.consolidate(
-      Weighted.negate(Weighted.fromSnapshot(op(oldR))).unionByName(Weighted.fromSnapshot(op(newR))))
+    val restrict = affectedKeys(Seq(dc.select(keyCols.map(col): _*)))
+    recomputed(op(restrict(oldSnap(c, bind), keyCols)), op(restrict(newSnap(c, bind), keyCols)))
   }
 
-  /** Restricted (old, new) plain snapshots of `c` for the affected keys.
-    * The new snapshot is evaluated ONCE and semi-join-restricted (Catalyst
-    * pushes the semi-join through joins beneath); the old restricted
-    * snapshot is reconstructed algebraically as `new|K − Δ|K`, avoiding a
-    * second full evaluation. The paper's constraint — changes computed
-    * purely from the sources, no reuse of the DT's stored state — still
-    * holds: only the change interval's own inputs are used.
-    */
-  private def restrictedPair(
-      c: DtQuery,
-      bind: String => SourceState,
-      keyCols: Seq[String],
-      keys: DataFrame,
-      dc: DataFrame,
-  ): (DataFrame, DataFrame) = {
-    val newR = Weighted.semiJoinOnKeys(newSnap(c, bind), keyCols.map(col), keys)
-      .localCheckpoint(true)
-    val dR = Weighted.semiJoinOnKeys(dc, keyCols.map(col), keys)
-    val oldRW = Weighted.consolidate(Weighted.fromSnapshot(newR).unionByName(Weighted.negate(dR)))
-    (Weighted.expand(oldRW), newR)
-  }
+  /** `−old + new`, consolidated. */
+  private def recomputed(old: DataFrame, neu: DataFrame): DataFrame =
+    Weighted.consolidate(Weighted.negate(Weighted.fromSnapshot(old)).unionByName(Weighted.fromSnapshot(neu)))
 }

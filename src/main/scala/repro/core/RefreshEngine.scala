@@ -215,13 +215,13 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
     val newV = srcs.map(s => s -> resolveVersion(s, refreshTs)).toMap
     val oldV = srcs.map(s => s -> resolveVersion(s, fr.dataTs)).toMap
     val epochChanged = srcs.exists(s => fr.epochs.get(s).exists(_ != newV(s).lineageEpoch))
-    val changedRows = srcs.map(s => tm.table(s).changedRowsBetween(fr.dataTs, refreshTs)).sum
+    val changed = srcs.map(s => s -> tm.table(s).changedRowsBetween(fr.dataTs, refreshTs)).toMap
     val vt = tm.table(name)
     val newEpochs = newV.map { case (s, v) => s -> v.lineageEpoch }
 
     def advance(): Unit = { st.frontier = Some(fr.advance(refreshTs, newEpochs)); retainAround(st) }
 
-    if (changedRows == 0L && !epochChanged) {
+    if (changed.values.sum == 0L && !epochChanged) {
       // NO_DATA: metadata-only commit — zero warehouse compute (§5.4).
       vt.alias(refreshTs)
       advance()
@@ -239,6 +239,7 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
             neu = newV(s).rows,
             delta = tm.table(s).deltaBetween(fr.dataTs, refreshTs)
               .getOrElse(newV(s).snapshot.where(lit(false))),
+            changedRows = changed(s),
           )
           val d = pin(Differentiator.delta(st.spec.query, bind))
           val dupes = ChangeSet.duplicateActionPairs(ChangeSet.fromWeighted(d))

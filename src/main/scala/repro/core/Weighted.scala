@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.LongType
+import org.apache.spark.sql.types.{DataType, LongType}
 
 /** Weighted multisets ("z-sets") over DataFrames.
   *
@@ -86,18 +86,38 @@ object Weighted {
 
   /** Restrict `df` to rows whose key tuple appears in `keys` (null-safe
     * left-semi join). `keyExprs` are expressions over `df`'s columns that
-    * produce the key tuple; `keys` must have columns `k0..k{n-1}`.
+    * produce the key tuple; `keys` must have columns `k0..k{n-1}`. Spark
+    * picks the join strategy from the size of `keys`: nothing forces a
+    * broadcast, so a large key set cannot exhaust the driver.
     */
   def semiJoinOnKeys(df: DataFrame, keyExprs: Seq[Column], keys: DataFrame): DataFrame = {
     val keyed = df.withColumns(keyExprs.zipWithIndex.map { case (e, i) => s"__sk$i" -> e }.toMap)
-    // The affected-key set is small by construction (distinct keys of a
-    // change interval) — broadcast it so the restriction is a single pass
-    // over the snapshot, the substrate's analogue of Snowflake's runtime
-    // pruning on row-id joins (§5.5.2).
-    val small = broadcast(keys)
     val cond = keys.columns.toSeq.zipWithIndex
-      .map { case (k, i) => keyed(s"__sk$i") <=> small(k) }
+      .map { case (k, i) => keyed(s"__sk$i") <=> keys(k) }
       .reduce(_ && _)
-    keyed.join(small, cond, "left_semi").drop(keys.columns.toSeq.indices.map(i => s"__sk$i"): _*)
+    keyed.join(keys, cond, "left_semi").drop(keys.columns.toSeq.indices.map(i => s"__sk$i"): _*)
+  }
+
+  /** Null-safe membership of the key tuple `keys` in `tuples`, a filter
+    * over literals: no join, so no exchange and no extra Spark job. Each
+    * pattern of NULL positions in `tuples` is one arm: `IS NULL` on the
+    * NULL positions and one `isin` over the rest (over a struct when more
+    * than one key is left), which Catalyst turns into an `InSet` above
+    * ten values.
+    * Keys and values are cast to `types`, one atomic type per key.
+    */
+  def keyIn(keys: Seq[Column], types: Seq[DataType], tuples: Seq[Seq[Any]]): Column = {
+    val typed = keys.zip(types).map { case (k, t) => k.cast(t) }
+    def value(t: Seq[Any], i: Int): Column = lit(t(i)).cast(types(i))
+    tuples.groupBy(_.map(_ == null)).map { case (isNull, group) =>
+      val nulls = typed.indices.filter(isNull).map(typed(_).isNull)
+      val members = typed.indices.filterNot(isNull) match {
+        case Seq()  => None
+        case Seq(i) => Some(typed(i).isin(group.map(value(_, i)): _*))
+        case is     => Some(struct(is.map(i => typed(i).as(s"k$i")): _*).isin(
+          group.map(t => struct(is.map(i => value(t, i).as(s"k$i")): _*)): _*))
+      }
+      (nulls ++ members).reduce(_ && _)
+    }.foldLeft(lit(false))(_ || _)
   }
 }

@@ -35,6 +35,18 @@ class ChangeSetSpec extends ReproSpec {
     assert(ids(0) == ids(1) && ids(0) != ids(2))
   }
 
+  test("tuples whose fields hold the separator, the null tag or the escape get distinct row ids") {
+    val pairs = Seq(
+      (Some("abcdefghX\u0001Y"), Some("Z")) -> (Some("abcdefghX"), Some("Y\u0001Z")),
+      (Some("k"), None) -> (Some("k"), Some("\u0000")),
+      (Some("k"), Some("\u0002" + "1")) -> (Some("k"), Some("\u0001")),
+    )
+    pairs.foreach { case (a, b) =>
+      val ids = Seq(a, b).toDF("x", "y").select(ChangeSet.rowIdExpr(Seq("x", "y"))).collect().map(_.getString(0))
+      assert(ids(0) != ids(1), s"$a and $b share row id ${ids(0)}")
+    }
+  }
+
   test("null values produce a stable row id") {
     val d = Seq((Option.empty[String], 1, 1L), (None, 1, 1L)).toDF("k", "v", Weighted.W)
     val ids = ChangeSet.fromWeighted(d.select($"k", $"v", d(Weighted.W)))

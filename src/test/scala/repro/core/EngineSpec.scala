@@ -255,6 +255,20 @@ class EngineSpec extends ReproSpec {
     assert(ex.getMessage.contains("INSERT") && ex.getMessage.contains("(§6.1 validation)"), ex.getMessage)
   }
 
+  test("a refresh inserting tuples that differ only around the row-id separator passes validation #2") {
+    val (e, clock) = newEngine()
+    def rows(r: (String, String)*) = r.toDF("x", "y")
+    e.createBaseTable("pairs", rows(("seed", "row")))
+    val q = Filter(Scan("pairs"), "x IS NOT NULL")
+    e.createDynamicTable(DtSpec("copy", q, LagSeconds(600)))
+    val inserts = Seq(("abcdefghX\u0001Y", "Z"), ("abcdefghX", "Y\u0001Z"), ("k", null), ("k", "\u0000"))
+    clock.advance(5)
+    e.insert("pairs", rows(inserts: _*))
+    clock.advance(5)
+    assert(e.refresh("copy", clock.nowSeconds).action == IncrementalRefresh)
+    assertSameRows(e.read("copy"), Eval.snapshot(q, e.read))
+  }
+
   test("successful refresh resets the failure counter") {
     val (e, clock) = newEngine()
     e.createBaseTable("events", kv((1, "a", 1.0)))

@@ -38,7 +38,7 @@ class JobBudgetSpec extends ReproSpec {
     clock.advance(10)
     val noData = counter.jobsOf(e.refresh("lin", clock.nowSeconds))
 
-    val budget = Map("dml" -> 5, "lin" -> 6, "agg" -> 14, "full" -> 5)
+    val budget = Map("dml" -> 5, "lin" -> 5, "agg" -> 8, "full" -> 5)
     val got = jobs + ("dml" -> dmlJobs)
     info(s"Spark jobs per call: $got, NO_DATA $noData")
     budget.foreach { case (call, b) => assert(got(call) <= b, s"$call ran ${got(call)} jobs (budget $b): $got") }
@@ -47,6 +47,29 @@ class JobBudgetSpec extends ReproSpec {
     assertSameRows(e.read("agg"),
       Eval.snapshot(Aggregate(Scan("events"), Seq("cat"), Seq("n" -> "count(1)", "s" -> "sum(v)")),
         _ => e.read("events")))
+  }
+
+  test("Spark jobs per INCREMENTAL distinct, window and left outer join refresh stay within budget") {
+    val (e, clock) = newEngine()
+    e.createBaseTable("events", kv((1, "a", 1L), (2, "b", 2L), (3, "a", 3L)))
+    e.createBaseTable("dim", Seq((1, "east"), (2, "west")).toDF("dk", "region"))
+    val queries = Map(
+      "distinct" -> Distinct(Project(Scan("events"), Seq("cat" -> "cat"))),
+      "window" -> WindowOp(Scan("events"), Seq("cat"), Seq("k" -> "k", "cat" -> "cat", "s" -> "sum(v) over (partition by cat)")),
+      "left_join" -> Join(Scan("events"), Scan("dim"), Seq("k"), Seq("dk"), "left"),
+    )
+    queries.foreach { case (dt, q) => e.createDynamicTable(DtSpec(dt, q, LagSeconds(600))) }
+    clock.advance(10)
+    e.dml("events", kv((4, "c", 4L)), kv((2, "b", 2L)))
+    clock.advance(10)
+    val ts = clock.nowSeconds
+    val got = queries.keys.map(dt => dt -> counter.jobsOf(e.refresh(dt, ts))).toMap
+
+    val budget = Map("distinct" -> 9, "window" -> 9, "left_join" -> 9)
+    info(s"Spark jobs per call: $got")
+    budget.foreach { case (call, b) => assert(got(call) <= b, s"$call ran ${got(call)} jobs (budget $b): $got") }
+    assert(got.values.forall(_ > 0), s"the listener saw no jobs: $got")
+    queries.foreach { case (dt, q) => assertSameRows(e.read(dt), Eval.snapshot(q, e.read)) }
   }
 
   test("Spark jobs per base-table create and replace, initialization and REINITIALIZE stay within budget") {

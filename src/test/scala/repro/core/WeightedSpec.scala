@@ -1,6 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.catalyst.plans.logical.{Join => PlanJoin}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{IntegerType, StringType}
 import repro.ReproSpec
 
 /** Unit tests for the weighted-multiset algebra underlying change sets. */
@@ -78,6 +80,23 @@ class WeightedSpec extends ReproSpec {
     val keys = Seq(("a", 1), ("b", 1)).toDF("k0", "k1")
     val got = Weighted.semiJoinOnKeys(df, Seq(col("k1"), col("k2")), keys).collect().map(_.getString(2)).toSet
     assert(got == Set("x", "z"))
+  }
+
+  test("keyIn restricts null-safely over literals, with no join") {
+    val df = Seq((Some("a"), 1), (Some("b"), 2), (None, 3)).toDF("k", "v")
+    val restricted = df.where(Weighted.keyIn(Seq(col("k")), Seq(StringType), Seq(Seq("a"), Seq(null))))
+    assert(restricted.collect().map(_.getInt(1)).toSet == Set(1, 3), "null key must match null key (null-safe)")
+    assert(restricted.queryExecution.optimizedPlan.collect { case j: PlanJoin => j }.isEmpty)
+    assert(df.where(Weighted.keyIn(Seq(col("k")), Seq(StringType), Nil)).isEmpty)
+  }
+
+  test("keyIn on two key columns, one of them NULL in some tuples") {
+    val df = Seq((Some("a"), Some(1), "x"), (Some("a"), None, "y"), (Some("b"), Some(1), "z"), (None, None, "w"))
+      .toDF("k1", "k2", "v")
+    val tuples = Seq(Seq("a", null), Seq("b", 1), Seq(null, null))
+    val got = df.where(Weighted.keyIn(Seq(col("k1"), col("k2")), Seq(StringType, IntegerType), tuples))
+      .collect().map(_.getString(2)).toSet
+    assert(got == Set("y", "z", "w"))
   }
 
   test("union + consolidate implements multiset difference") {
