@@ -43,10 +43,7 @@ object Differentiator {
 
     case Filter(c, p) => delta(c, bind).where(expr(p))
 
-    case Project(c, exprs) =>
-      Weighted.consolidate(
-        delta(c, bind).select(exprs.map { case (a, e) => expr(e).as(a) } :+ col(W): _*)
-      )
+    case Project(c, exprs) => Weighted.consolidate(projected(c, exprs, bind))
 
     case UnionAll(l, r) =>
       Weighted.consolidate(delta(l, bind).unionByName(delta(r, bind)))
@@ -78,7 +75,7 @@ object Differentiator {
       // An output row for key tuple k depends only on input rows with key
       // k on either side, so restricting both *inputs* to the affected
       // keys and re-joining equals restricting the output.
-      val restrict = affectedKeys(Seq(delta(l, bind).select(lk.map(col): _*), delta(r, bind).select(rk.map(col): _*)))
+      val restrict = affectedKeys(Seq(keyDelta(l, bind).select(lk.map(col): _*), keyDelta(r, bind).select(rk.map(col): _*)))
       def joined(snap: DtQuery => DataFrame): DataFrame = {
         val (a, b) = (restrict(snap(l), lk), restrict(snap(r), rk))
         a.join(b, lk.zip(rk).map { case (x, y) => a(x) === b(y) }.reduce(_ && _), joinType)
@@ -88,18 +85,32 @@ object Differentiator {
     case Aggregate(c, groupBy, aggs) =>
       require(groupBy.nonEmpty,
         "scalar aggregates are not incrementally supported (§3.3.2); use FULL refresh mode")
-      recomputeAffected(c, bind, delta(c, bind), groupBy) { in =>
+      recomputeAffected(c, bind, keyDelta(c, bind), groupBy) { in =>
         val aggCols = aggs.map { case (a, e) => expr(e).as(a) }
         in.groupBy(groupBy.map(col): _*).agg(aggCols.head, aggCols.tail: _*)
       }
 
     case Distinct(c) =>
-      val dc = delta(c, bind)
+      val dc = keyDelta(c, bind)
       recomputeAffected(c, bind, dc, Weighted.dataCols(dc))(_.distinct())
 
     case WindowOp(c, partitionBy, selects) =>
-      recomputeAffected(c, bind, delta(c, bind), partitionBy)(
+      recomputeAffected(c, bind, keyDelta(c, bind), partitionBy)(
         _.selectExpr(selects.map { case (a, e) => s"$e AS $a" }: _*))
+  }
+
+  /** `c`'s delta projected to `exprs`, not consolidated. */
+  private def projected(c: DtQuery, exprs: Seq[(String, String)], bind: String => SourceState): DataFrame =
+    delta(c, bind).select(exprs.map { case (a, e) => expr(e).as(a) } :+ col(W): _*)
+
+  /** The delta of `q` that the keyed rules collect affected keys from: its
+    * rows are `delta(q)`'s. A projection's is consolidated inside one
+    * partition, which needs no shuffle, so the key collect is its only job
+    * (the shuffled consolidate of `delta` adds an adaptive map-stage job).
+    */
+  private def keyDelta(q: DtQuery, bind: String => SourceState): DataFrame = q match {
+    case Project(c, exprs) => Weighted.consolidate(projected(c, exprs, bind).coalesce(1))
+    case _                 => delta(q, bind)
   }
 
   /** Evaluate `q` against the old / new endpoint of the interval. */
@@ -141,10 +152,10 @@ object Differentiator {
   }
 
   /** Affected-key recomputation of the keyed operator `op` (aggregate,
-    * distinct, window) over child `c` with delta `dc`: `op` over the old and
-    * the new child rows of the keys in `dc`, as `−op(old) + op(new)`. Both
-    * sides are evaluated from the interval's own source snapshots, never
-    * from the DT's stored state.
+    * distinct, window) over child `c` with key delta `dc` ([[keyDelta]]):
+    * `op` over the old and the new child rows of the keys in `dc`, as
+    * `−op(old) + op(new)`. Both sides are evaluated from the interval's own
+    * source snapshots, never from the DT's stored state.
     */
   private def recomputeAffected(c: DtQuery, bind: String => SourceState, dc: DataFrame, keyCols: Seq[String])(
       op: DataFrame => DataFrame): DataFrame = {

@@ -242,7 +242,7 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
             changedRows = changed(s),
           )
           val d = pin(Differentiator.delta(st.spec.query, bind))
-          val dupes = ChangeSet.duplicateActionPairs(ChangeSet.fromWeighted(d))
+          val dupes = ChangeSet.duplicateActionPairs(ChangeSet.fromWeighted(d.df))
           require(dupes.isEmpty,
             s"$name: change set has ${dupes.size} duplicate ($$ROW_ID, $$ACTION) pair(s), " +
               s"e.g. ${dupes.head} (§6.1 validation)")

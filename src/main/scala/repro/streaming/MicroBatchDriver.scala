@@ -1,6 +1,6 @@
 package repro.streaming
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.streaming.StreamingQuery
 import repro.core.{Engine, RefreshResult}
 import repro.sched.{EngineScheduler, RefreshFailure, SimClock}
@@ -43,18 +43,17 @@ final class MicroBatchDriver(
       .foreachBatch((batch: DataFrame, batchId: Long) => commitBatch(batch, batchId))
       .start()
 
-  /** Commit micro-batch `batchId`: insert its rows into `targetTable` (if
-    * any), advance the clock by one batch period and refresh the DT graph
-    * at the new data timestamp. A batch id at or below the last one
-    * committed is a replay (`foreachBatch` delivers at least once) and
-    * changes nothing.
+  /** Commit micro-batch `batchId`: insert its rows into `targetTable` (an
+    * empty batch commits no version), advance the clock by one batch period
+    * and refresh the DT graph at the new data timestamp. A batch id at or
+    * below the last one committed is a replay (`foreachBatch` delivers at
+    * least once) and changes nothing.
     */
   def commitBatch(batch: DataFrame, batchId: Long): Unit = synchronized {
     if (batchId > lastBatchId) {
-      // Pin the micro-batch contents: the batch plan is only valid within
-      // the callback, but versions must outlive it.
-      val rows: java.util.List[Row] = batch.collectAsList()
-      if (!rows.isEmpty) engine.insert(targetTable, batch.sparkSession.createDataFrame(rows, batch.schema))
+      // The batch plan is only valid within the callback; the DML pins its
+      // change set here, so the committed version outlives it.
+      engine.insert(targetTable, batch)
       clock.advance(batchPeriodSeconds)
       results ++= scheduler.refreshAllAt(clock.nowSeconds)
       lastBatchId = batchId

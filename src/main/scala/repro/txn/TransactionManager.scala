@@ -1,6 +1,7 @@
 package repro.txn
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Observation}
+import org.apache.spark.sql.functions.{count, lit}
 import repro.core.Weighted
 import repro.sched.Clock
 import scala.collection.mutable
@@ -59,18 +60,23 @@ final class TransactionManager(clock: Clock) {
     catch { case e: Throwable => drop(name); throw e }
   }
 
-  /** Insert/delete DML on a base table; commits one new version.
-    * Deleting rows that are not present fails the transaction.
+  /** Insert/delete DML on a base table; commits one new version and
+    * returns it. A DML whose change set is empty (no rows, or inserts and
+    * deletes that cancel) changes no row: it commits nothing and returns
+    * the latest version. Deleting rows that are not present fails the
+    * transaction.
     */
   def dml(name: String, inserts: DataFrame, deletes: DataFrame): TableVersion = withLock(name) {
     val vt = table(name)
     // Pin the change set FIRST: caller-provided plans (e.g. a sampled
-    // delete set) may be nondeterministic across evaluations, and the
-    // snapshot and the delta must be derived from one consistent read.
+    // delete set, or a streaming micro-batch valid only inside its
+    // callback) may not be evaluated again, and the snapshot and the delta
+    // must be derived from one consistent read.
     val d = pin(Weighted.consolidate(
       Weighted.fromSnapshot(inserts).unionByName(Weighted.negate(Weighted.fromSnapshot(deletes)))
     ))
-    applyDelta(name, nextDataTs(vt), d, s"$name: DML deletes row group(s) not present in the table")
+    if (d.rows == 0L) vt.latest
+    else applyDelta(name, nextDataTs(vt), d, s"$name: DML deletes row group(s) not present in the table")
   }
 
   /** Replace a base table wholesale (CREATE OR REPLACE). Bumps the lineage
@@ -90,38 +96,36 @@ final class TransactionManager(clock: Clock) {
     val vt = table(name)
     val snap = pin(Weighted.consolidate(Weighted.fromSnapshot(rows)))
     val delta =
-      if (vt.isInitialized) pin(Weighted.consolidate(snap.unionByName(Weighted.negate(vt.latest.snapshot))))
+      if (vt.isInitialized) pin(Weighted.consolidate(snap.df.unionByName(Weighted.negate(vt.latest.snapshot))))
       else snap
-    commit(vt, dataTs, snap, delta, lineageEpoch)
+    commit(vt, dataTs, snap.df, delta, lineageEpoch)
   }
 
-  /** Merge the [[pin]]ned weighted `delta` into the contents of `name` and
+  /** Merge the weighted change set `delta` into the contents of `name` and
     * commit the result at `dataTs`. A merge that leaves a negative weight
     * deletes a row that is not present (§6.1) and fails with
     * `IllegalArgumentException(message)`; the check runs inside the
     * checkpoint job, not as a query over its result.
     */
-  def applyDelta(name: String, dataTs: => Long, delta: DataFrame, message: => String): TableVersion = {
+  def applyDelta(name: String, dataTs: => Long, delta: Pinned, message: => String): TableVersion = {
     val vt = table(name)
     val prev = vt.latest
     val snap =
-      try pin(Weighted.nonNegative(Weighted.consolidate(prev.snapshot.unionByName(delta))))
+      try pin(Weighted.nonNegative(Weighted.consolidate(prev.snapshot.unionByName(delta.df))))
       catch {
         case e: Exception if Weighted.isNegativeWeightFailure(e) => throw new IllegalArgumentException(message, e)
       }
-    commit(vt, dataTs, snap, delta, prev.lineageEpoch)
+    commit(vt, dataTs, snap.df, delta, prev.lineageEpoch)
   }
 
-  /** Count the delta's rows in one Spark job over its pinned blocks
-    * (`Dataset.count` plans a global aggregate: two jobs under adaptive
-    * query execution), stamp the HLC and append the version. `dataTs` is
+  /** Stamp the HLC and append the version; its `deltaRows` is the count
+    * the delta's pin took, so committing runs no Spark job. `dataTs` is
     * evaluated here, after the pins, so a base table's [[nextDataTs]] is
     * taken in the second it commits.
     */
-  private def commit(vt: VersionedTable, dataTs: => Long, snapshot: DataFrame, delta: DataFrame,
+  private def commit(vt: VersionedTable, dataTs: => Long, snapshot: DataFrame, delta: Pinned,
       lineageEpoch: Long): TableVersion = {
-    val deltaRows = delta.queryExecution.toRdd.count()
-    val v = TableVersion(hlc.now(), dataTs, snapshot, delta, deltaRows, lineageEpoch)
+    val v = TableVersion(hlc.now(), dataTs, snapshot, delta.df, delta.rows, lineageEpoch)
     vt.commit(v)
     v
   }
@@ -137,12 +141,20 @@ final class TransactionManager(clock: Clock) {
     math.max(clock.nowSeconds + 1, vt.latest.dataTs + 1)
 }
 
+/** A DataFrame pinned by [[TransactionManager.pin]] and its row count. */
+final case class Pinned(df: DataFrame, rows: Long)
+
 object TransactionManager {
 
   /** Pin `df` with an eager `localCheckpoint`: one execution of its plan
-    * writes the blocks that every later read of the version uses. Eager on
-    * purpose: a lazy checkpoint followed by a separate action computes the
-    * plan again and keeps more blocks.
+    * writes the blocks that every later read of the version uses, and an
+    * observed metric of that same job counts the rows. Eager on purpose: a
+    * lazy checkpoint followed by a separate action computes the plan again
+    * and keeps more blocks.
     */
-  def pin(df: DataFrame): DataFrame = df.localCheckpoint(true)
+  def pin(df: DataFrame): Pinned = {
+    val obs = Observation()
+    val pinned = df.observe(obs, count(lit(1)).as("rows")).localCheckpoint(true)
+    Pinned(pinned, obs.get("rows").asInstanceOf[Long])
+  }
 }

@@ -132,4 +132,27 @@ class AffectedKeysSpec extends ReproSpec with AdaptiveSparkPlanHelper {
       assertApplies(q, b, d, s"$name/$changed")
     }
   }
+
+  test("keyed rules over a projection whose weights cancel refresh equal to a recompute") {
+    val (e, clock) = newEngine()
+    e.createBaseTable("events", events(initial))
+    val proj = Project(Scan("events"), Seq("k" -> "k", "k2" -> "k2"))
+    val queries = Seq(
+      "dist" -> Distinct(proj),
+      "agg" -> Aggregate(proj, Seq("k"), Seq("n" -> "count(1)")),
+      "win" -> WindowOp(proj, Seq("k2"), Seq("k" -> "k", "k2" -> "k2", "n" -> "count(1) over (partition by k2)")),
+      "left" -> Join(proj, Project(Scan("events"), Seq("dk" -> "k")), Seq("k"), Seq("dk"), "left"),
+    )
+    queries.foreach { case (dt, q) => e.createDynamicTable(DtSpec(dt, q, LagSeconds(600))) }
+    clock.advance(10)
+    // (1, a) and (NULL, NULL) only change v, so their projected weights
+    // cancel; (2, b) is gone and (3, NULL) is new
+    e.dml("events", events(Seq((Some(1), Some("a"), 11L), (None, None, 14L), (Some(3), None, 6L))),
+      events(Seq((Some(1), Some("a"), 1L), (None, None, 4L), (Some(2), Some("b"), 5L))))
+    clock.advance(10)
+    queries.foreach { case (dt, q) =>
+      assert(e.refresh(dt, clock.nowSeconds).action == IncrementalRefresh, dt)
+      assertSameRows(e.read(dt), Eval.snapshot(q, e.read), dt)
+    }
+  }
 }

@@ -368,4 +368,59 @@ class EngineSpec extends ReproSpec {
     assert(e.tm.table("up").versionCount == 2)
     assertSameRows(e.read("up"), Eval.snapshot(Filter(Scan("events"), "v > 0"), _ => e.read("events")))
   }
+
+  test("deltaRows counts the rows of the stored delta on every commit path") {
+    val (e, clock) = newEngine()
+    /** `table`'s latest `deltaRows`, checked against a count of its delta. */
+    def deltaRows(table: String, path: String): Long = {
+      val v = e.tm.table(table).latest
+      assert(v.deltaRows == v.delta.count(), s"$table after $path")
+      v.deltaRows
+    }
+    def refresh(dt: String): RefreshAction = e.refresh(dt, clock.nowSeconds).action
+
+    // (2, b, 2.0) twice is one row of weight 2: deltaRows counts rows
+    e.createBaseTable("events", kv((1, "a", 1.0), (2, "b", 2.0), (2, "b", 2.0)))
+    assert(deltaRows("events", "create") == 2)
+    val cats = Project(Scan("events"), Seq("cat" -> "cat"))
+    e.createDynamicTable(DtSpec("cats", cats, LagSeconds(600)))
+    e.createDynamicTable(DtSpec("down", Filter(Scan("cats"), "cat <> 'z'"), LagSeconds(600)))
+    e.createDynamicTable(DtSpec("agg", aggQuery, LagSeconds(600)))
+    e.createDynamicTable(DtSpec("full", aggQuery, LagSeconds(600), FullMode))
+    Seq("cats", "down", "agg", "full").foreach(dt => assert(deltaRows(dt, "initialization") == 2, dt))
+
+    // cats' change set inserts and deletes category a: it cancels out
+    clock.advance(10)
+    e.dml("events", kv((3, "a", 3.0)), kv((1, "a", 1.0)))
+    assert(deltaRows("events", "DML") == 2)
+    clock.advance(10)
+    assert(refresh("cats") == IncrementalRefresh && deltaRows("cats", "INCREMENTAL") == 0)
+    assert(refresh("down") == NoData)
+    assert(refresh("agg") == IncrementalRefresh && deltaRows("agg", "INCREMENTAL") == 2)
+    assert(refresh("full") == FullRefresh && deltaRows("full", "FULL") == 2)
+
+    // a new row of weight 2 is one change row downstream too
+    clock.advance(10)
+    e.insert("events", kv((5, "c", 5.0), (5, "c", 5.0)))
+    assert(deltaRows("events", "DML") == 1)
+    clock.advance(10)
+    assert(refresh("cats") == IncrementalRefresh && deltaRows("cats", "INCREMENTAL") == 1)
+
+    // a DML whose inserts and deletes cancel changes no row: no version
+    clock.advance(10)
+    val versions = e.tm.table("events").versionCount
+    e.dml("events", kv((5, "c", 5.0)), kv((5, "c", 5.0)))
+    assert(e.tm.table("events").versionCount == versions)
+    clock.advance(10)
+    assert(refresh("cats") == NoData)
+
+    clock.advance(10)
+    e.replaceBaseTable("events", kv((1, "a", 1.0), (9, "z", 9.0)))
+    assert(deltaRows("events", "replace") == 5) // three rows out, two in
+    clock.advance(10)
+    // agg and full last refreshed before c: groups a and b out, a and z in
+    assert(refresh("agg") == Reinitialize && deltaRows("agg", "REINITIALIZE") == 4)
+    assert(refresh("full") == FullRefresh && deltaRows("full", "FULL") == 4)
+    Seq("agg", "full").foreach(dt => assertSameRows(e.read(dt), Eval.snapshot(aggQuery, _ => e.read("events")), dt))
+  }
 }

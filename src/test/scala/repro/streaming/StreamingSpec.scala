@@ -99,6 +99,37 @@ class StreamingSpec extends ReproSpec {
     assert(engine.read("agg").collect().head.getAs[Double]("s") == 5.0)
   }
 
+  test("a micro-batch's change set, pinned inside the callback, is readable after the query stops") {
+    implicit val sqlCtx = spark.sqlContext
+    val clock = new SimClock(1000)
+    val engine = new Engine(spark, clock)
+    engine.createBaseTable("events", Seq.empty[(String, Double)].toDF("k", "v"))
+    val stream = MemoryStream[(String, Double)]
+    val query = new MicroBatchDriver(engine, clock, "events").attach(stream.toDF().toDF("k", "v"))
+    try {
+      stream.addData(("a", 1.0), ("b", 2.0), ("b", 2.0))
+      query.processAllAvailable()
+    } finally query.stop()
+    System.gc()
+    val v = engine.tm.table("events").latest
+    assert(v.deltaRows == 2)
+    assertSameRows(Weighted.expand(v.delta), Seq(("a", 1.0), ("b", 2.0), ("b", 2.0)).toDF("k", "v"))
+  }
+
+  test("an empty micro-batch commits no version, and its refresh is NO_DATA") {
+    val clock = new SimClock(1000)
+    val engine = new Engine(spark, clock)
+    engine.createBaseTable("events", Seq(("a", 1.0)).toDF("k", "v"))
+    engine.createDynamicTable(DtSpec("copy", Filter(Scan("events"), "v > 0"), LagSeconds(60)))
+    val driver = new MicroBatchDriver(engine, clock, "events")
+    driver.commitBatch(Seq.empty[(String, Double)].toDF("k", "v"), 0L)
+    assert(engine.tm.table("events").versionCount == 1)
+    assert(driver.refreshResults.map(_.action) == Seq(NoData))
+    driver.commitBatch(Seq(("b", 2.0)).toDF("k", "v"), 1L)
+    assert(driver.refreshResults.map(_.action) == Seq(NoData, IncrementalRefresh))
+    assert(engine.read("copy").count() == 2)
+  }
+
   test("bounded state: version counts stay flat over 50 micro-batches, and the DTs equal a recompute") {
     implicit val sqlCtx = spark.sqlContext
     val clock = new SimClock(1000)

@@ -102,4 +102,15 @@ class TransactionManagerSpec extends ReproSpec {
     threads.foreach(_.start()); threads.foreach(_.join())
     assert(maxInside == 1)
   }
+
+  test("pin returns the rows it pinned, counted by the job that pins them") {
+    val df = Seq(("a", 1), ("a", 1), ("b", 2)).toDF("k", "v")
+    assert(TransactionManager.pin(df).rows == 3)
+    assert(TransactionManager.pin(df.where("false")).rows == 0)
+    val pinned = TransactionManager.pin(df.where("v = 1"))
+    assert(pinned.rows == 2 && pinned.df.count() == 2)
+    assert(TransactionManager.pin(pinned.df.where("false")).rows == 0)
+    intercept[Exception](TransactionManager.pin(df.selectExpr("k", "raise_error('boom') AS v")))
+    assert(TransactionManager.pin(pinned.df.unionByName(df)).rows == 5)
+  }
 }
