@@ -57,10 +57,8 @@ object Differentiator {
       // A delta whose sources changed at most `SmallChange` rows is
       // broadcast, so each bilinear term is one pass over the snapshot
       // side; a larger one joins plainly, and Spark sizes the join.
-      def broadcastIfSmall(side: DtQuery, d: DataFrame): DataFrame = {
-        val changed = side.sources.toSeq.map(bind(_).changedRows)
-        if (changed.forall(_ <= SmallChange) && changed.sum <= SmallChange) broadcast(d) else d
-      }
+      def broadcastIfSmall(side: DtQuery, d: DataFrame): DataFrame =
+        if (smallChange(side, bind)) broadcast(d) else d
       val dl = broadcastIfSmall(l, delta(l, bind))
       val dr = broadcastIfSmall(r, delta(r, bind))
       val rOld = oldSnap(r, bind)
@@ -104,13 +102,24 @@ object Differentiator {
     delta(c, bind).select(exprs.map { case (a, e) => expr(e).as(a) } :+ col(W): _*)
 
   /** The delta of `q` that the keyed rules collect affected keys from: its
-    * rows are `delta(q)`'s. A projection's is consolidated inside one
-    * partition, which needs no shuffle, so the key collect is its only job
-    * (the shuffled consolidate of `delta` adds an adaptive map-stage job).
+    * rows are `delta(q)`'s. When `q` is a projection whose sources changed
+    * at most `SmallChange` rows ([[smallChange]]), it is consolidated inside
+    * one partition, which needs no shuffle, so the key collect is its only
+    * job (the shuffled consolidate of `delta` adds an adaptive map-stage
+    * job). A larger change keeps the shuffled consolidate, which spreads
+    * the work over all partitions.
     */
-  private def keyDelta(q: DtQuery, bind: String => SourceState): DataFrame = q match {
-    case Project(c, exprs) => Weighted.consolidate(projected(c, exprs, bind).coalesce(1))
-    case _                 => delta(q, bind)
+  private[core] def keyDelta(q: DtQuery, bind: String => SourceState): DataFrame = q match {
+    case Project(c, exprs) if smallChange(q, bind) => Weighted.consolidate(projected(c, exprs, bind).coalesce(1))
+    case _                                         => delta(q, bind)
+  }
+
+  /** Whether version metadata says `q`'s sources changed at most
+    * `SmallChange` rows over the interval. Runs no job.
+    */
+  private def smallChange(q: DtQuery, bind: String => SourceState): Boolean = {
+    val changed = q.sources.toSeq.map(bind(_).changedRows)
+    changed.forall(_ <= SmallChange) && changed.sum <= SmallChange
   }
 
   /** Evaluate `q` against the old / new endpoint of the interval. */

@@ -1,6 +1,7 @@
 package repro.txn
 
-import org.apache.spark.sql.{DataFrame, Observation}
+import java.util.UUID
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{count, lit}
 import repro.core.Weighted
 import repro.sched.Clock
@@ -151,10 +152,19 @@ object TransactionManager {
     * observed metric of that same job counts the rows. Eager on purpose: a
     * lazy checkpoint followed by a separate action computes the plan again
     * and keeps more blocks.
+    *
+    * The count is read from the query execution that ran the checkpoint,
+    * whose accumulators are merged before the job returns. An
+    * `Observation` would hand it over on the asynchronous listener bus, so
+    * the commit would wait for the bus, and for ever if the event were
+    * dropped.
     */
   def pin(df: DataFrame): Pinned = {
-    val obs = Observation()
-    val pinned = df.observe(obs, count(lit(1)).as("rows")).localCheckpoint(true)
-    Pinned(pinned, obs.get("rows").asInstanceOf[Long])
+    val name = s"pin_${UUID.randomUUID}"
+    val observed = df.observe(name, count(lit(1)).as("rows"))
+    val pinned = observed.localCheckpoint(true)
+    val metrics = observed.queryExecution.observedMetrics
+      .getOrElse(name, throw new IllegalStateException(s"pin job reported no row count ($name)"))
+    Pinned(pinned, metrics.getLong(0))
   }
 }

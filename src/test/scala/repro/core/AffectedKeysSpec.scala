@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.plans.LeftSemi
 import org.apache.spark.sql.catalyst.plans.logical.{Join => PlanJoin}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
-import org.apache.spark.sql.execution.exchange.BroadcastExchangeExec
+import org.apache.spark.sql.execution.exchange.{BroadcastExchangeExec, ShuffleExchangeExec}
 import repro.ReproSpec
 
 /** The affected-key restriction of the keyed delta rules (§5.5.1) and the
@@ -110,6 +110,18 @@ class AffectedKeysSpec extends ReproSpec with AdaptiveSparkPlanHelper {
         assert(broadcasts(d) == 0, s"$name with $n delta rows")
         assertApplies(q, b, d, s"$name/$n")
       }
+    }
+  }
+
+  test("a projection's key delta is consolidated in one partition only when its sources changed at most SmallChange rows") {
+    val proj = Project(Scan("events"), Seq("k" -> "k"))
+    for ((changed, onePartition) <- Seq(3L -> true, (T + 1L) -> false)) {
+      val b = bind(bulk(3), changed)
+      val kd = Differentiator.keyDelta(proj, b)
+      kd.collect()
+      val shuffles = collect(kd.queryExecution.executedPlan) { case s: ShuffleExchangeExec => s }.size
+      assert((shuffles == 0) == onePartition, s"$changed changed rows: $shuffles shuffles")
+      assertSameRows(kd, Differentiator.delta(proj, b), s"$changed changed rows")
     }
   }
 

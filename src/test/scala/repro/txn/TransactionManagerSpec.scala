@@ -1,5 +1,8 @@
 package repro.txn
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.util.QueryExecutionListener
 import repro.ReproSpec
 import repro.core.Weighted
 import repro.sched.SimClock
@@ -112,5 +115,27 @@ class TransactionManagerSpec extends ReproSpec {
     assert(TransactionManager.pin(pinned.df.where("false")).rows == 0)
     intercept[Exception](TransactionManager.pin(df.selectExpr("k", "raise_error('boom') AS v")))
     assert(TransactionManager.pin(pinned.df.unionByName(df)).rows == 5)
+  }
+
+  test("pin does not wait for the listener bus: a stalled query listener does not stall a commit") {
+    val release = new CountDownLatch(1)
+    val stall = new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        release.await(30, TimeUnit.SECONDS)
+      override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
+    }
+    spark.listenerManager.register(stall)
+    try {
+      val (tm, _) = mk()
+      val start = System.nanoTime()
+      tm.createBaseTable("t", Seq(("a", 1), ("b", 2)).toDF("k", "v"))
+      val v = tm.dml("t", Seq(("c", 3)).toDF("k", "v"), Seq(("a", 1)).toDF("k", "v"))
+      val seconds = (System.nanoTime() - start) / 1e9
+      assert(v.deltaRows == 2)
+      assert(seconds < 15, s"create + DML took $seconds s behind a stalled listener")
+    } finally {
+      release.countDown()
+      spark.listenerManager.unregister(stall)
+    }
   }
 }
