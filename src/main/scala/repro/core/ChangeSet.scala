@@ -4,7 +4,10 @@ import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import Weighted.W
 
-/** The user-facing change-set form of a weighted delta (§5.5).
+/** The user-facing change-set form of a weighted delta (§5.5). Boundary
+  * code: the engine keeps deltas weighted from differentiation to the
+  * merge, and only [[Weighted.merge]] builds a row id, to name the pair
+  * that fails validation #2 (§6.1).
   *
   * A change set has the query's output columns plus:
   *   - `$ACTION`  — "INSERT" or "DELETE";
@@ -12,8 +15,8 @@ import Weighted.W
   *     (first key value, §5.5.2 — improves runtime pruning of row-id
   *     joins) followed by a SHA-1 of all data columns;
   *   - `$MULT`    — multiplicity (our rows are weighted; duplicate data
-  *     tuples share a row id and carry their count here, which is what
-  *     makes the ≤1-row-per-($ROW_ID,$ACTION) invariant exact).
+  *     tuples share a row id and carry their count here, so a consolidated
+  *     delta has at most one row per ($ROW_ID, $ACTION)).
   */
 object ChangeSet {
   val Action = "$ACTION"
@@ -46,23 +49,4 @@ object ChangeSet {
       .withColumn(RowId, rowIdExpr(cols))
       .drop(W)
   }
-
-  /** Back to weighted form. */
-  def toWeighted(changes: DataFrame): DataFrame = {
-    val cols = changes.columns.toSeq.filterNot(Set(Action, RowId, Mult))
-    changes
-      .withColumn(W, when(col(Action) === "INSERT", col(Mult)).otherwise(-col(Mult)))
-      .select(cols.map(col) :+ col(W): _*)
-  }
-
-  /** §6.1 production invariant #2: never more than one row per
-    * ($ROW_ID, $ACTION) pair. Returns the violating pairs; empty when the
-    * invariant holds. One Spark job: a count per pair over the plan's
-    * rows, reduced by key. The result is only non-empty when a delta rule
-    * failed to consolidate.
-    */
-  def duplicateActionPairs(changes: DataFrame): Seq[(String, String)] =
-    changes.select(col(RowId), col(Action)).queryExecution.toRdd
-      .map(r => (r.getUTF8String(0).toString, r.getUTF8String(1).toString) -> 1L)
-      .reduceByKey(_ + _).filter(_._2 > 1).keys.collect().toSeq
 }

@@ -28,8 +28,10 @@ import scala.collection.mutable
   *   1. an upstream DT version must exist at *exactly* the refresh
   *      timestamp, else the refresh fails (snapshot-isolation guard);
   *   2. a change set never has >1 row per ($ROW_ID, $ACTION);
-  *   3. a merge must never delete a row that is not present (a guard
-  *      inside the plan the merge's checkpoint job runs anyway).
+  *   3. a merge must never delete a row that is not present.
+  * #1 is a lookup in version metadata; #2 and #3 are one guard inside the
+  * merge that `TransactionManager.applyDelta` pins, so they run in its
+  * checkpoint job on every INCREMENTAL refresh and every base DML.
   *
   * Every version is built and committed by the transaction manager: a
   * refresh hands it plain rows to overwrite (initialization, FULL,
@@ -241,12 +243,7 @@ final class Engine(val spark: SparkSession, val clock: Clock) {
               .getOrElse(newV(s).snapshot.where(lit(false))),
             changedRows = changed(s),
           )
-          val d = pin(Differentiator.delta(st.spec.query, bind))
-          val dupes = ChangeSet.duplicateActionPairs(ChangeSet.fromWeighted(d.df))
-          require(dupes.isEmpty,
-            s"$name: change set has ${dupes.size} duplicate ($$ROW_ID, $$ACTION) pair(s), " +
-              s"e.g. ${dupes.head} (§6.1 validation)")
-          tm.applyDelta(name, refreshTs, d,
+          tm.applyDelta(name, refreshTs, pin(Differentiator.delta(st.spec.query, bind)),
             s"$name: refresh deletes row group(s) not present in the DT (§6.1 validation)")
         case _ => // FULL or REINITIALIZE: recompute from the new snapshots; the
           // stored delta keeps downstream incremental DTs working.

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.SparkThrowable
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DataType, LongType}
@@ -10,17 +11,17 @@ import org.apache.spark.sql.types.{DataType, LongType}
   * [[Weighted.W]] column holding a signed multiplicity. A snapshot of a
   * relation is a weighted DataFrame with all-positive weights; a *delta*
   * (the change of a relation over a data-timestamp interval) may carry
-  * negative weights for deletions. This is the internal representation
-  * used by the differentiation framework (§5.5 of the paper); the
-  * user-facing `$ROW_ID`/`$ACTION` change-set form is derived from it by
-  * [[ChangeSet]].
+  * negative weights for deletions. This is the representation the engine
+  * uses from differentiation (§5.5) to the merge; the user-facing
+  * `$ROW_ID`/`$ACTION` change-set form ([[ChangeSet]]) is boundary code.
   *
-  * Invariants maintained by construction:
-  *   - [[consolidate]] leaves at most one row per distinct data tuple,
-  *     which is what guarantees the paper's "never more than 1 row for
-  *     each unique ($ROW_ID, $ACTION) pair".
-  *   - [[expand]] refuses negative weights — a negative weight in a
-  *     stored table is exactly "delete of a row that does not exist".
+  * Invariants:
+  *   - [[consolidate]] leaves at most one row per distinct data tuple;
+  *   - [[merge]] fails when a change set has more than one row per data
+  *     tuple and sign, which is the paper's "never more than 1 row for
+  *     each unique ($ROW_ID, $ACTION) pair", or when it leaves a negative
+  *     weight, a "delete of a row that does not exist" (§6.1);
+  *   - [[expand]] refuses negative weights.
   */
 object Weighted {
 
@@ -59,30 +60,52 @@ object Weighted {
     */
   def expand(df: DataFrame): DataFrame = {
     val cols = dataCols(df)
-    nonNegative(df)
+    df.withColumn(W, when(col(W) < 0L, raise_error(lit(NegativeWeight))).otherwise(col(W)))
       .where(col(W) > 0L)
       .withColumn("__i", explode(sequence(lit(1L), col(W))))
       .select(cols.map(col): _*)
   }
 
-  private val NegativeWeight = "negative multiplicity in weighted relation"
-
-  /** `df` unchanged, except that evaluating it fails (`raise_error`) on the
-    * first row with a negative weight. Lets a plan that is executed anyway
-    * — a checkpointed merge — carry the "never delete a missing row" check
-    * (§6.1) instead of a separate query over its result.
+  /** Merge the change set `delta` into `snapshot`: `consolidate(snapshot ∪
+    * delta)` under one `raise_error` guard on the weight, which carries two
+    * §6.1 checks into the job that evaluates the merge anyway:
+    *   - #2: more than one row of `delta` for one data tuple and sign. Row
+    *     ids are injective, so this is more than one row per (`$ROW_ID`,
+    *     `$ACTION`); the message builds the row id only when it fails;
+    *   - #3: a negative merged weight, a delete of a row that is not present.
+    * The delta's rows are tagged before the union so the group-by counts
+    * them per sign. The guard is the weight the `W ≠ 0` filter reads, so it
+    * runs on groups whose weights cancel too, and no pruning drops it.
+    * [[violation]] reads a guard failure back.
     */
-  def nonNegative(df: DataFrame): DataFrame =
-    df.withColumn(
-      W,
-      when(col(W) < 0L, raise_error(concat(lit(s"$NegativeWeight: "), col(W).cast("string"))))
-        .otherwise(col(W))
-    )
+  def merge(snapshot: DataFrame, delta: DataFrame): DataFrame = {
+    val cols = dataCols(snapshot)
+    val w = sum(col(W)).cast(LongType)
+    def deltaRows(sign: Column): Column = count(when(col(Tag) && sign, 1))
+    val action = when(deltaRows(col(W) > 0L) > 1L, lit("INSERT")).when(deltaRows(col(W) < 0L) > 1L, lit("DELETE"))
+    val pair = concat(lit(s"$DuplicatePair = ("), ChangeSet.rowIdExpr(cols), lit(", "), action, lit(")"))
+    val failure = when(action.isNotNull, pair).otherwise(lit(NegativeWeight))
+    snapshot.withColumn(Tag, lit(false)).unionByName(delta.withColumn(Tag, lit(true)))
+      .groupBy(cols.map(col): _*)
+      .agg(when(action.isNotNull || w < 0L, raise_error(failure)).otherwise(w).as(W))
+      .where(col(W) =!= 0L)
+  }
 
-  /** True iff `e` (or one of its causes) is a [[nonNegative]] guard failure. */
-  def isNegativeWeightFailure(e: Throwable): Boolean =
-    Iterator.iterate(e)(_.getCause).takeWhile(_ != null)
-      .exists(t => Option(t.getMessage).exists(_.contains(NegativeWeight)))
+  /** The message of the [[merge]] or [[expand]] guard that failed, if `e`
+    * or one of its causes is such a failure: [[NegativeWeight]] for #3, or
+    * for #2 a message that names the offending (`$ROW_ID`, `$ACTION`) pair.
+    * It is read from the error parameters of the `raise_error` exception,
+    * not from its text.
+    */
+  def violation(e: Throwable): Option[String] =
+    Iterator.iterate(e)(_.getCause).takeWhile(_ != null).collectFirst {
+      case t: SparkThrowable if t.getCondition == "USER_RAISED_EXCEPTION" =>
+        t.getMessageParameters.getOrDefault("errorMessage", "")
+    }.filter(m => m == NegativeWeight || m.startsWith(DuplicatePair))
+
+  val NegativeWeight = "negative multiplicity in weighted relation"
+  private val DuplicatePair = "change set has more than one row for ($ROW_ID, $ACTION)"
+  private val Tag = "__delta"
 
   /** Restrict `df` to rows whose key tuple appears in `keys` (null-safe
     * left-semi join). `keyExprs` are expressions over `df`'s columns that

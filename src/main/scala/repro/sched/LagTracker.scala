@@ -41,12 +41,4 @@ object LagTracker {
     val troughs = sorted.map(r => r.endTime - r.dataTs)
     Sawtooth(peaks, troughs)
   }
-
-  /** Decompose refresh i ≥ 1 into (p, w, d) of §5.2. */
-  def decompose(records: Seq[RefreshRecord]): Seq[(Long, Long, Long)] = {
-    val sorted = records.sortBy(_.dataTs)
-    sorted.sliding(2).collect { case Seq(prev, cur) =>
-      (cur.dataTs - prev.dataTs, cur.startTime - cur.dataTs, cur.duration)
-    }.toSeq
-  }
 }

@@ -13,8 +13,8 @@ import scala.collection.mutable
   * commits; per-table locks so a DT is never refreshed concurrently; and
   * the one commit path of every table version. A base-table create, DML or
   * replace and a DT refresh all end in [[overwrite]] (INSERT OVERWRITE) or
-  * [[applyDelta]] (merge of a change set, which never deletes a row that is
-  * not present, §6.1); both commit through one private `commit`. Their
+  * [[applyDelta]] (merge of a change set, the one place that checks it,
+  * §6.1); both commit through one private `commit`. Their
   * callers hold the table's [[withLock]].
   *
   * Snapshots are weighted DataFrames that are `localCheckpoint`ed on
@@ -103,18 +103,24 @@ final class TransactionManager(clock: Clock) {
   }
 
   /** Merge the weighted change set `delta` into the contents of `name` and
-    * commit the result at `dataTs`. A merge that leaves a negative weight
-    * deletes a row that is not present (§6.1) and fails with
-    * `IllegalArgumentException(message)`; the check runs inside the
-    * checkpoint job, not as a query over its result.
+    * commit the result at `dataTs`. The merge's guard ([[Weighted.merge]])
+    * runs two §6.1 checks inside the checkpoint job, not as queries over
+    * its result: a change set with more than one row per (`$ROW_ID`,
+    * `$ACTION`) fails with an `IllegalArgumentException` that names the
+    * pair, and a merge that deletes a row that is not present fails with
+    * `IllegalArgumentException(message)`. A failed merge commits nothing.
     */
   def applyDelta(name: String, dataTs: => Long, delta: Pinned, message: => String): TableVersion = {
     val vt = table(name)
     val prev = vt.latest
     val snap =
-      try pin(Weighted.nonNegative(Weighted.consolidate(prev.snapshot.unionByName(delta.df))))
+      try pin(Weighted.merge(prev.snapshot, delta.df))
       catch {
-        case e: Exception if Weighted.isNegativeWeightFailure(e) => throw new IllegalArgumentException(message, e)
+        case e: Exception => Weighted.violation(e) match {
+          case Some(Weighted.NegativeWeight) => throw new IllegalArgumentException(message, e)
+          case Some(duplicate) => throw new IllegalArgumentException(s"$name: $duplicate (§6.1 validation)", e)
+          case None => throw e
+        }
       }
     commit(vt, dataTs, snap.df, delta, prev.lineageEpoch)
   }

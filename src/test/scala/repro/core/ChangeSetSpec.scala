@@ -54,21 +54,4 @@ class ChangeSetSpec extends ReproSpec {
     val got = ids.collect().map(_.getAs[String](ChangeSet.RowId)).distinct
     assert(got.length == 1)
   }
-
-  test("toWeighted inverts fromWeighted") {
-    val d = Weighted.consolidate(Seq(("a", 1, 2L), ("b", 2, -1L), ("c", 3, 1L)).toDF("k", "v", Weighted.W))
-    assertSameRows(ChangeSet.toWeighted(ChangeSet.fromWeighted(d)), d)
-  }
-
-  test("duplicateActionPairs is 0 on consolidated deltas") {
-    val d = Weighted.consolidate(Seq(("a", 1L), ("a", 1L), ("b", -1L)).toDF("k", Weighted.W))
-    assert(ChangeSet.duplicateActionPairs(ChangeSet.fromWeighted(d)).isEmpty)
-  }
-
-  test("duplicateActionPairs detects the §6.1 invariant violation") {
-    // Two INSERT rows with the same data tuple (unconsolidated) share a row id.
-    val d = Seq(("a", 1L), ("a", 2L), ("b", 1L)).toDF("k", Weighted.W)
-    val rowIdOfA = d.select(ChangeSet.rowIdExpr(Seq("k"))).collect().head.getString(0)
-    assert(ChangeSet.duplicateActionPairs(ChangeSet.fromWeighted(d)) == Seq((rowIdOfA, "INSERT")))
-  }
 }

@@ -251,8 +251,9 @@ class EngineSpec extends ReproSpec {
       snapshot = vt.latest.snapshot.unionByName(Weighted.consolidate(twice)), delta = twice, deltaRows = 2))
     clock.advance(5)
     val ex = intercept[IllegalArgumentException](e.refresh("copy", clock.nowSeconds))
-    assert(ex.getMessage.contains("1 duplicate ($ROW_ID, $ACTION) pair(s)"), ex.getMessage)
-    assert(ex.getMessage.contains("INSERT") && ex.getMessage.contains("(§6.1 validation)"), ex.getMessage)
+    val rowId = kv((2, "b", 2.0)).select(ChangeSet.rowIdExpr(Seq("k", "cat", "v"))).head().getString(0)
+    assert(ex.getMessage.contains(s"($rowId, INSERT)"), ex.getMessage)
+    assert(ex.getMessage.contains("(§6.1 validation)"), ex.getMessage)
   }
 
   test("a refresh inserting tuples that differ only around the row-id separator passes validation #2") {

@@ -28,13 +28,6 @@ class LagTrackerSpec extends AnyFunSuite {
     assert(math.abs(s.meanPeak - 62.0) < 1e-9)
   }
 
-  test("decompose splits peak lag into p + w + d") {
-    val d = LagTracker.decompose(recs)
-    assert(d == Seq((48L, 2L, 10L), (48L, 4L, 12L)))
-    // identity: peak lag = p + w + d
-    assert(d.zip(LagTracker.sawtooth(recs).peakLags).forall { case ((p, w, dd), peak) => p + w + dd == peak })
-  }
-
   test("empty and singleton inputs") {
     assert(LagTracker.sawtooth(Nil).peakLags.isEmpty)
     assert(LagTracker.sawtooth(Seq(recs.head)).peakLags.isEmpty)

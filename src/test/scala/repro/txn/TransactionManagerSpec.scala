@@ -4,7 +4,7 @@ import java.util.concurrent.{CountDownLatch, TimeUnit}
 import org.apache.spark.sql.execution.QueryExecution
 import org.apache.spark.sql.util.QueryExecutionListener
 import repro.ReproSpec
-import repro.core.Weighted
+import repro.core.{ChangeSet, Weighted}
 import repro.sched.SimClock
 
 /** Transaction manager: DML versions, delete guard, replace epochs. */
@@ -58,6 +58,57 @@ class TransactionManagerSpec extends ReproSpec {
       tm.dml("t", Seq.empty[(String, Int)].toDF("k", "v"), Seq(("zz", 9)).toDF("k", "v")))
     assert(ex.getMessage.contains("not present in the table"))
     assert(tm.table("t").versionCount == 1, "a failed DML commits nothing")
+  }
+
+  /** A table "t" holding `rows`, and a pinned, unconsolidated weighted delta. */
+  private def withDelta(rows: (String, Int)*)(delta: (String, Int, Long)*): (TransactionManager, Pinned) = {
+    val (tm, clock) = mk()
+    tm.createBaseTable("t", rows.toDF("k", "v"))
+    clock.advance(1)
+    (tm, TransactionManager.pin(delta.toDF("k", "v", Weighted.W)))
+  }
+
+  private def rowIdOf(k: String, v: Int): String =
+    Seq((k, v)).toDF("k", "v").select(ChangeSet.rowIdExpr(Seq("k", "v"))).head().getString(0)
+
+  test("applyDelta fails a change set that inserts one tuple as two rows and commits nothing (§6.1 #2)") {
+    val (tm, d) = withDelta(("a", 1))(("b", 2, 1L), ("b", 2, 1L), ("a", 1, -1L))
+    val before = tm.table("t").latest
+    val ex = intercept[IllegalArgumentException](tm.applyDelta("t", 200L, d, "unexpected"))
+    assert(ex.getMessage.contains(s"t: change set has more than one row for ($$ROW_ID, $$ACTION) = (${rowIdOf("b", 2)}, INSERT)"),
+      ex.getMessage)
+    assert(ex.getMessage.contains("(§6.1 validation)"), ex.getMessage)
+    assert(tm.table("t").versionCount == 1 && tm.table("t").latest == before, "a failed merge commits nothing")
+  }
+
+  test("applyDelta fails a change set that deletes one tuple twice, also when the merge nets it to 0 (§6.1 #2)") {
+    val (tm, d) = withDelta(("a", 1), ("a", 1))(("a", 1, -1L), ("a", 1, -1L))
+    val ex = intercept[IllegalArgumentException](tm.applyDelta("t", 200L, d, "unexpected"))
+    assert(ex.getMessage.contains(s"(${rowIdOf("a", 1)}, DELETE)"), ex.getMessage)
+    assert(tm.table("t").versionCount == 1)
+  }
+
+  test("applyDelta fails with the caller's message when a change set deletes a missing row (§6.1 #3)") {
+    val (tm, d) = withDelta(("a", 1))(("b", 2, -1L))
+    val ex = intercept[IllegalArgumentException](tm.applyDelta("t", 200L, d, "t: deletes a missing row"))
+    assert(ex.getMessage == "t: deletes a missing row")
+    assert(tm.table("t").versionCount == 1)
+  }
+
+  test("applyDelta accepts an insert and a delete of one tuple in the same change set") {
+    val (tm, d) = withDelta(("a", 1))(("a", 1, 1L), ("a", 1, -1L), ("b", 2, 1L))
+    val v = tm.applyDelta("t", 200L, d, "unexpected")
+    assert(v.deltaRows == 3 && tm.table("t").versionCount == 2)
+    assert(Weighted.expand(v.snapshot).collect().map(r => (r.getString(0), r.getInt(1))).sorted.toSeq ==
+      Seq(("a", 1), ("b", 2)))
+  }
+
+  test("applyDelta merges a consolidated change set") {
+    val (tm, d) = withDelta(("a", 1), ("a", 1), ("b", 2))(("a", 1, -1L), ("c", 3, 2L), ("b", 2, -1L))
+    val v = tm.applyDelta("t", 200L, d, "unexpected")
+    assert(v.deltaRows == 3)
+    assert(Weighted.expand(v.snapshot).collect().map(r => (r.getString(0), r.getInt(1))).sorted.toSeq ==
+      Seq(("a", 1), ("c", 3), ("c", 3)))
   }
 
   test("multiset semantics: inserting a duplicate row raises its multiplicity") {
